@@ -24,7 +24,7 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy import special as sc
 
-from .errors import ConfigError, NumericsError, QuadratureError
+from .errors import ConfigError, NumericsError
 
 __all__ = [
     "InterRequestDistribution",
@@ -40,12 +40,7 @@ __all__ = [
     "check_envelope",
     "check_smoothness",
     "distribution_from_config",
-    "adaptive_simpson",
 ]
-
-# Residual targets used by the numeric inverses.
-_QUANTILE_ATOL = 1e-13
-_AGE_QUAD_ATOL = 1e-10
 
 
 def _as_array(t):
@@ -161,8 +156,16 @@ class InterRequestDistribution:
         raise NotImplementedError
 
     def sample_age(self, rng: np.random.Generator) -> float:
-        """Stationary age draw (inverse transform through age_quantile)."""
-        return self.age_quantile(rng.random())
+        return float(self.sample_age_batch(rng, 1)[0])
+
+    def sample_age_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Exact stationary age draws, without root finding.
+
+        Where no closed form exists, the equilibrium-renewal identity is used:
+        if L has the length-biased law (density x g(x) / mean) and U is
+        uniform on (0, 1), then U * L has the age law.
+        """
+        raise NotImplementedError
 
     # --- config text ---------------------------------------------------------
 
@@ -206,8 +209,8 @@ class Exponential(InterRequestDistribution):
     def sample_inter_batch(self, rng, size):
         return rng.exponential(1.0 / self.rate_param, size)
 
-    def sample_age(self, rng):
-        return float(rng.exponential(1.0 / self.rate_param))
+    def sample_age_batch(self, rng, size):
+        return rng.exponential(1.0 / self.rate_param, size)
 
     def config(self):
         return {"family": "exponential", "params": {"rate": self.rate_param}}
@@ -252,56 +255,33 @@ class Gamma(InterRequestDistribution):
     def sample_inter_batch(self, rng, size):
         return rng.gamma(self.shape, 1.0 / self.rate_param, size)
 
+    def sample_age_batch(self, rng, size):
+        # the length-biased Gamma(shape, rate) is Gamma(shape + 1, rate)
+        return rng.random(size) * rng.gamma(self.shape + 1.0, 1.0 / self.rate_param, size)
+
     def config(self):
         return {"family": "gamma", "params": {"shape": self.shape, "rate": self.rate_param}}
 
 
-@dataclass(frozen=True)
-class Erlang(InterRequestDistribution):
-    stages: int
-    rate_param: float
+class Erlang(Gamma):
+    """Gamma law whose shape is an integer number of exponential stages."""
 
-    def __post_init__(self):
-        if not (isinstance(self.stages, (int, np.integer)) and self.stages >= 1):
-            raise ConfigError(f"erlang stages must be a positive integer, got {self.stages}")
-        if not self.rate_param > 0:
+    def __init__(self, stages: int, rate_param: float):
+        if not (isinstance(stages, (int, np.integer)) and stages >= 1):
+            raise ConfigError(f"erlang stages must be a positive integer, got {stages}")
+        if not rate_param > 0:
             raise ConfigError("erlang rate must be > 0")
+        super().__init__(float(stages), rate_param)
 
     @property
-    def mean(self):
-        return self.stages / self.rate_param
-
-    def _cdf(self, t):
-        return sc.gammainc(self.stages, self.rate_param * t)
-
-    def _pdf(self, t):
-        x = self.rate_param * t
-        return self.rate_param * np.exp(
-            sc.xlogy(self.stages - 1.0, x) - x - sc.gammaln(self.stages))
-
-    def _age_cdf(self, t):
-        x = self.rate_param * t
-        part = t * sc.gammaincc(self.stages, x) + self.mean * sc.gammainc(self.stages + 1.0, x)
-        return np.minimum(part / self.mean, 1.0)
-
-    def quantile(self, u):
-        if not 0.0 <= u < 1.0:
-            raise ConfigError(f"unbounded quantile: u={u!r} outside [0, 1)")
-        return float(sc.gammaincinv(self.stages, u)) / self.rate_param
+    def stages(self) -> int:
+        return int(self.shape)
 
     def _scaled(self, f):
         return Erlang(self.stages, self.rate_param / f)
 
-    def sample_inter_batch(self, rng, size):
-        return rng.gamma(float(self.stages), 1.0 / self.rate_param, size)
-
-    def sample_age(self, rng):
-        # equilibrium law of an Erlang(k) is a uniform mixture of Erlang(1..k)
-        j = int(rng.integers(1, self.stages + 1))
-        return float(rng.gamma(j, 1.0 / self.rate_param))
-
     def config(self):
-        return {"family": "erlang", "params": {"stages": int(self.stages), "rate": self.rate_param}}
+        return {"family": "erlang", "params": {"stages": self.stages, "rate": self.rate_param}}
 
 
 @dataclass(frozen=True)
@@ -342,6 +322,11 @@ class Weibull(InterRequestDistribution):
 
     def sample_inter_batch(self, rng, size):
         return self.scale * rng.weibull(self.shape, size)
+
+    def sample_age_batch(self, rng, size):
+        # length-biased: (X / scale)^shape is Gamma(1 + 1/shape)
+        g = rng.gamma(1.0 + 1.0 / self.shape, 1.0, size)
+        return rng.random(size) * self.scale * np.power(g, 1.0 / self.shape)
 
     def config(self):
         return {"family": "weibull", "params": {"shape": self.shape, "scale": self.scale}}
@@ -392,16 +377,17 @@ class Hyperexponential(InterRequestDistribution):
     def _scaled(self, f):
         return Hyperexponential(self.weights, tuple(r / f for r in self.rates))
 
-    def sample_inter_batch(self, rng, size):
-        cw = np.cumsum(self._w)
-        comp = np.searchsorted(cw, rng.random(size), side="right")
+    def _mixture_batch(self, rng, size, weights):
+        comp = np.searchsorted(np.cumsum(weights), rng.random(size), side="right")
         comp = np.minimum(comp, len(self.rates) - 1)
         return rng.exponential(1.0, size) / self._r[comp]
 
-    def sample_age(self, rng):
-        wa = np.cumsum(self._w / self._r / self.mean)
-        comp = min(int(np.searchsorted(wa, rng.random(), side="right")), len(self.rates) - 1)
-        return float(rng.exponential(1.0 / self.rates[comp]))
+    def sample_inter_batch(self, rng, size):
+        return self._mixture_batch(rng, size, self._w)
+
+    def sample_age_batch(self, rng, size):
+        # age law: hyperexponential with weights w_j / (r_j * mean)
+        return self._mixture_batch(rng, size, self._w / self._r / self.mean)
 
     def config(self):
         return {"family": "hyperexponential",
@@ -451,8 +437,8 @@ class ParetoLomax(InterRequestDistribution):
     def sample_inter_batch(self, rng, size):
         return self.scale * rng.pareto(self.shape, size)
 
-    def sample_age(self, rng):
-        return self.scale * float(rng.pareto(self.shape - 1.0))
+    def sample_age_batch(self, rng, size):
+        return self.scale * rng.pareto(self.shape - 1.0, size)
 
     def config(self):
         return {"family": "pareto_lomax", "params": {"shape": self.shape, "scale": self.scale}}
@@ -653,36 +639,3 @@ def check_smoothness(family, rho: float, t_grid=None, x_points: int = 40) -> Smo
     else:
         M = None
     return SmoothnessReport(B=B, rho=rho, b0=b0, uniform_lipschitz_M=M)
-
-
-def adaptive_simpson(fn, a: float, b: float, atol: float = _AGE_QUAD_ATOL,
-                     max_depth: int = 64) -> float:
-    """Adaptive Simpson quadrature with an absolute-error target.
-
-    Kept as the generic fallback integrator for cdf-shaped integrands
-    (bounded, piecewise smooth).  Raises QuadratureError when the depth
-    cap is hit before the tolerance is met.
-    """
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, tol, depth):
-        x1 = 0.5 * (x0 + x2)
-        xl, xr = 0.5 * (x0 + x1), 0.5 * (x1 + x2)
-        fl, fr = fn(xl), fn(xr)
-        left = simpson(x0, x1, f0, fl, f1)
-        right = simpson(x1, x2, f1, fr, f2)
-        err = left + right - whole
-        if abs(err) <= 15.0 * tol:
-            return left + right + err / 15.0
-        if depth <= 0:
-            raise QuadratureError(
-                f"adaptive Simpson did not converge on [{x0}, {x2}]",
-                achieved=abs(err))
-        return (recurse(x0, x1, f0, fl, f1, left, tol / 2.0, depth - 1)
-                + recurse(x1, x2, f1, fr, f2, right, tol / 2.0, depth - 1))
-
-    fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, atol, max_depth)

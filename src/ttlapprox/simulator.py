@@ -7,7 +7,8 @@ Requests across contents are merged in time order (ties broken by content
 index).  Hit/miss indicators are recorded at request epochs after warmup,
 which matches the request-average definition of hit probability.
 
-A single run is strictly sequential; parallelism exists only across
+A single run is strictly sequential and draws all its randomness from one
+Philox stream keyed by (seed, replication); parallelism exists only across
 replications, whose results are merged in replication order so reports
 are reproducible bit for bit from (config, seed).
 """
@@ -214,22 +215,31 @@ def measure_tau(state: LruState, now: float):
     return now - state.oldest_timestamp()
 
 
-def _content_rng(seed: int, replication: int, content: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(replication, content))
+def _replication_rng(seed: int, replication: int) -> np.random.Generator:
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(replication,))
     return np.random.Generator(np.random.Philox(ss))
 
 
-def init_stationary(catalog: ContentCatalog, seed: int, replication: int = 0):
-    """Per-content streams started in the stationary regime.
+def _by_class(catalog: ContentCatalog):
+    """Yield (standardized class distribution, indices of its contents)."""
+    for c, dist in enumerate(catalog.classes):
+        yield dist, np.flatnonzero(catalog.class_of == c)
 
-    Returns (first_arrivals, dists, rngs): the first arrival of content i
-    is a draw from its age law; subsequent gaps come from its inter-request
-    law via the same generator.
+
+def init_stationary(catalog: ContentCatalog, seed: int, replication: int = 0):
+    """Streams of all contents started in the stationary regime.
+
+    Returns (first_arrivals, rng): first_arrivals[i] is a draw from content
+    i's age law, and rng is the replication's single generator, from which
+    the engine then draws every inter-request gap.  Each class draws its
+    ages in one call from its standardized law, divided by the contents'
+    rates; this is exact because every family is a scale family.
     """
-    dists = [catalog.dist_of(i) for i in range(catalog.n)]
-    rngs = [_content_rng(seed, replication, i) for i in range(catalog.n)]
-    arrivals = [d.sample_age(r) for d, r in zip(dists, rngs)]
-    return arrivals, dists, rngs
+    rng = _replication_rng(seed, replication)
+    arrivals = np.empty(catalog.n)
+    for dist, idx in _by_class(catalog):
+        arrivals[idx] = dist.sample_age_batch(rng, idx.size) / catalog.rates[idx]
+    return arrivals, rng
 
 
 def _resolve_warmup(config: SimulationConfig):
@@ -250,14 +260,35 @@ _BUF0 = 8
 _BUF_MAX = 4096
 
 
+def _start_streams(catalog: ContentCatalog, seed: int, replication: int):
+    """Event heap, per-content gap buffers and their refill function.
+
+    Gaps of content i are standardized class draws divided by rates[i], all
+    from the replication's one generator: the first _BUF0 per content in
+    one call per class, later ones in doubling batches as buffers run out.
+    """
+    arrivals, rng = init_stationary(catalog, seed, replication)
+    bufs = [None] * catalog.n
+    for dist, idx in _by_class(catalog):
+        block = dist.sample_inter_batch(rng, idx.size * _BUF0).reshape(idx.size, _BUF0)
+        for i, row in zip(idx.tolist(), (block / catalog.rates[idx, None]).tolist()):
+            bufs[i] = row
+    class_dist = [catalog.classes[c] for c in catalog.class_of.tolist()]
+    rates = catalog.rates.tolist()
+
+    def refill(i, size):
+        return (class_dist[i].sample_inter_batch(rng, size) / rates[i]).tolist()
+
+    heap = list(zip(arrivals.tolist(), range(catalog.n)))
+    heapq.heapify(heap)
+    return heap, bufs, refill
+
+
 def _run_lru_fast(catalog, capacity, total_events, warmup_events, seed, replication):
     # hot loop: event-count horizon, no tau sampling, no trace
     n = catalog.n
-    arrivals, dists, rngs = init_stationary(catalog, seed, replication)
-    bufs = [d.sample_inter_batch(r, _BUF0).tolist() for d, r in zip(dists, rngs)]
+    heap, bufs, refill = _start_streams(catalog, seed, replication)
     cursors = [0] * n
-    heap = list(zip(arrivals, range(n)))
-    heapq.heapify(heap)
     cache = {}
     hits = [0] * n
     reqs = [0] * n
@@ -289,7 +320,7 @@ def _run_lru_fast(catalog, capacity, total_events, warmup_events, seed, replicat
         c = cursors[i]
         b = bufs[i]
         if c == len(b):
-            b = dists[i].sample_inter_batch(rngs[i], min(_BUF_MAX, 2 * len(b))).tolist()
+            b = refill(i, min(_BUF_MAX, 2 * len(b)))
             bufs[i] = b
             c = 0
         push(heap, (now + b[c], i))
@@ -302,11 +333,8 @@ def _run_lru_fast(catalog, capacity, total_events, warmup_events, seed, replicat
 def _run_generic(config: SimulationConfig, replication: int, trace=None):
     catalog = config.catalog
     n = catalog.n
-    arrivals, dists, rngs = init_stationary(catalog, config.seed, replication)
-    bufs = [d.sample_inter_batch(r, _BUF0).tolist() for d, r in zip(dists, rngs)]
+    heap, bufs, refill = _start_streams(catalog, config.seed, replication)
     cursors = [0] * n
-    heap = list(zip(arrivals, range(n)))
-    heapq.heapify(heap)
     is_lru = isinstance(config.policy, LRU)
     state = LruState(config.policy.capacity) if is_lru else TtlState(config.policy.timer)
     warm_ev, warm_t = _resolve_warmup(config)
@@ -350,7 +378,7 @@ def _run_generic(config: SimulationConfig, replication: int, trace=None):
         c = cursors[i]
         b = bufs[i]
         if c == len(b):
-            b = dists[i].sample_inter_batch(rngs[i], min(_BUF_MAX, 2 * len(b))).tolist()
+            b = refill(i, min(_BUF_MAX, 2 * len(b)))
             bufs[i] = b
             c = 0
         push(heap, (now + b[c], i))
@@ -410,11 +438,11 @@ def replicate(config: SimulationConfig, workers: int | None = None) -> Simulatio
         agg[r] = rep.aggregate_hit
         taus.append(rep.tau_samples)
         elapsed += rep.elapsed_time
-    with np.errstate(invalid="ignore"):
-        counts = np.sum(np.isfinite(ratios), axis=0)
-        stderr = np.where(counts > 1,
-                          np.nanstd(ratios, axis=0, ddof=1) / np.sqrt(np.maximum(counts, 2)),
-                          np.nan)
+    # contents with fewer than 2 finite per-replication ratios have no stderr
+    counts = np.sum(np.isfinite(ratios), axis=0)
+    some = counts > 1
+    stderr = np.full(n, np.nan)
+    stderr[some] = np.nanstd(ratios[:, some], axis=0, ddof=1) / np.sqrt(counts[some])
     return SimulationReport(
         requests=reqs, hits=hits, elapsed_time=elapsed,
         tau_samples=np.concatenate(taus) if taus else np.empty(0),

@@ -146,18 +146,34 @@ def test_03_bracket_containment_randomized():
     assert failures == 0
 
 
+def _significance_z(m):
+    """Two-sided z threshold at family level 0.05 over m comparisons (Bonferroni).
+
+    A row's gap_max is the largest |gap| over its m measured contents, so
+    its own z-score is a maximum of m noisy z-scores.  If no content had a
+    bias, each |z_i| would exceed z* with probability 0.05 / m, and the
+    row would pass the filter with probability at most 0.05.
+    """
+    return float(stats.norm.isf(0.05 / (2 * m)))
+
+
 def test_04_convergence_sweep_gap_decay(sweep_rows):
     """Zipf(0.8), Poisson, C=0.3n sweep: max-over-frequent-contents gaps
-    strictly decrease across rows whose gap exceeds 3x its standard error,
-    and the aggregate gap at n=6400 is below 0.01."""
+    strictly decrease across rows whose gap is significant over the row's
+    measured contents (Bonferroni, family level 0.05), and the aggregate
+    gap at n=6400 is below 0.01."""
     assert all(r.status == "ok" for r in sweep_rows)
-    significant = [(r.n, r.gap_max) for r in sweep_rows if r.gap_max > 3 * r.stderr_max]
+    z_star = [_significance_z(r.measured_contents) for r in sweep_rows]
+    significant = [(r.n, r.gap_max) for r, z in zip(sweep_rows, z_star)
+                   if r.gap_max > z * r.stderr_max]
     chain = [g for _, g in significant]
     decreasing = all(b < a for a, b in zip(chain, chain[1:]))
     agg_last = sweep_rows[-1].gap_aggregate
     ok = decreasing and agg_last < 0.01
     detail = (f"max gaps {[f'{r.gap_max:.2e}' for r in sweep_rows]}, "
-              f">3se rows {[n for n, _ in significant]}, "
+              f"z {[f'{r.gap_max / r.stderr_max:.2f}' for r in sweep_rows]}, "
+              f"z* {[f'{z:.2f}' for z in z_star]}, "
+              f"significant rows {[n for n, _ in significant]}, "
               f"agg gap at n=6400 {agg_last:.2e}")
     _line(4, "timer-approximation gap decay", ok, detail)
     assert decreasing, f"significant gaps not strictly decreasing: {significant}"

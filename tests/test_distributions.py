@@ -2,11 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from ttlapprox.distributions import (Erlang, Exponential, Gamma, Hyperexponential,
-                                     MaxEnvelope, ParetoLomax, Weibull,
-                                     adaptive_simpson, check_envelope,
+                                     MaxEnvelope, ParetoLomax, Weibull, check_envelope,
                                      check_smoothness, distribution_from_config)
 from ttlapprox.errors import ConfigError
 
@@ -24,6 +23,9 @@ ALL_FAMILIES = [
     ParetoLomax(3.5, 0.4),
 ]
 
+# shapes where the age law is far from the inter-request law
+AGE_SAMPLED = ALL_FAMILIES + [Gamma(0.5, 1.0), Weibull(0.3, 1.0), Weibull(3.0, 1.0)]
+
 
 class TestCdf:
     def test_exponential_at_zero(self):
@@ -33,11 +35,11 @@ class TestCdf:
         assert Exponential(2.0).cdf(math.log(2) / 2) == pytest.approx(0.5, abs=1e-15)
 
     def test_gamma_2_2_closed_form(self):
-        # Erlang-2 closed form, cross-checked by adaptive quadrature of the density
+        # Erlang-2 closed form, cross-checked by quadrature of the density
         d = Gamma(2.0, 2.0)
         expected = 1.0 - math.exp(-2.0) * (1.0 + 2.0)
         assert d.cdf(1.0) == pytest.approx(expected, abs=1e-12)
-        quad = adaptive_simpson(d.pdf, 0.0, 1.0, atol=1e-13)
+        quad, _ = integrate.quad(d.pdf, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
         assert d.cdf(1.0) == pytest.approx(quad, abs=1e-12)
 
     def test_negative_argument_convention(self):
@@ -144,6 +146,12 @@ class TestSampling:
         x = d.sample_inter_batch(rng, 1_000_000)
         se = x.std(ddof=1) / math.sqrt(x.size)
         assert abs(x.mean() - d.mean) < 4.0 * se
+
+    @pytest.mark.parametrize("d", AGE_SAMPLED, ids=lambda d: type(d).__name__ + repr(d.mean))
+    def test_age_batch_ks_against_age_cdf(self, d):
+        rng = np.random.default_rng(1707)
+        x = d.sample_age_batch(rng, 200_000)
+        assert stats.kstest(x, d.age_cdf).pvalue > 1e-3
 
     def test_erlang_age_sampler_matches_age_cdf(self):
         d = Erlang(3, 1.5)

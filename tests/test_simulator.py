@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from ttlapprox.approx import characteristic_time
-from ttlapprox.distributions import Exponential, Gamma
+from ttlapprox.distributions import Exponential, Gamma, Weibull
 from ttlapprox.errors import ConfigError
 from ttlapprox.popularity import ContentCatalog, ZipfLaw, build_catalog
 from ttlapprox.simulator import (LRU, TTL, LruState, SimulationConfig, TtlState,
@@ -52,7 +53,7 @@ class TestStationaryInit:
         cat = exp_catalog([2.0])
         rng_draws = []
         for seed in range(20_000):
-            arr, _, _ = init_stationary(cat, seed)
+            arr, _ = init_stationary(cat, seed)
             rng_draws.append(arr[0])
         x = np.asarray(rng_draws)
         # memoryless: first arrival is exponential with the content's rate
@@ -225,6 +226,30 @@ class TestReplicate:
         assert np.array_equal(a.hits, b.hits)
         assert np.array_equal(a.requests, b.requests)
         assert a.aggregate_stderr == b.aggregate_stderr
+
+    def test_renewal_tau_report_independent_of_workers(self):
+        cat = build_catalog(ZipfLaw(0.8), 60, 60.0,
+                            [(0.5, Gamma(0.5, 1.0)), (0.5, Weibull(0.7, 1.0))])
+        cfg = SimulationConfig(catalog=cat, policy=LRU(20), horizon_events=20_000,
+                               warmup_events=2_000, seed=5, replications=3, tau_stride=7)
+        a = replicate(cfg, workers=1)
+        b = replicate(cfg, workers=2)
+        assert a.tau_samples.size > 0
+        assert np.array_equal(a.hits, b.hits)
+        assert np.array_equal(a.requests, b.requests)
+        assert np.array_equal(a.tau_samples, b.tau_samples)
+
+    def test_stderr_of_rarely_requested_contents_warns_nothing(self):
+        # with 2 replications many tail contents have < 2 finite hit ratios
+        cat = build_catalog(ZipfLaw(0.8), 400, 400.0, Exponential(1.0))
+        cfg = SimulationConfig(catalog=cat, policy=LRU(60), horizon_events=3_000,
+                               warmup_events=500, seed=8, replications=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = replicate(cfg, workers=1)
+        no_stderr = np.isnan(rep.hit_ratio_stderr)
+        assert no_stderr.any() and not no_stderr.all()
+        assert np.all(no_stderr[rep.requests == 0])
 
     def test_replications_differ(self):
         cfg = SimulationConfig(catalog=THREE, policy=LRU(2), horizon_events=30_000,
