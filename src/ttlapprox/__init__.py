@@ -4,7 +4,9 @@ The package solves the fixed timer at which a reset-timer cache holds, in
 expectation, as many contents as an LRU cache of capacity C, evaluates
 the resulting per-content and aggregate hit probabilities, computes their
 large-system limits, and validates everything against an exact
-event-driven simulator fed by independent stationary renewal streams.
+simulator fed by independent stationary renewal streams.  The simulator
+merges each time window's requests in one vectorized batch; only the LRU
+recency update runs per request.
 """
 
 from .approx import (CharacteristicTimeResult, ConcentrationCurve, TtlHit,
@@ -23,7 +25,7 @@ from .experiments import (AssumptionParams, AssumptionsReport, ConvergenceRow,
                           SweepSpec, check_assumptions, convergence_sweep, emit)
 from .popularity import (ContentCatalog, DensityLaw, P1Report, ZipfLaw, build_catalog,
                          check_P1, zipf_popularity)
-from .simulator import (LRU, TTL, LruState, SimulationConfig, SimulationReport,
-                        TtlState, init_stationary, measure_tau, replicate, run)
+from .simulator import (LRU, TTL, SimulationConfig, SimulationReport, init_stationary,
+                        replicate, run)
 
 __version__ = "0.1.0"

@@ -130,10 +130,6 @@ class ContentCatalog:
         """Permutation: sorted_order[k] is the index of the (k+1)-th most popular content."""
         return self._sorted_order
 
-    def dist_of(self, i: int) -> InterRequestDistribution:
-        """Distribution of content i, scaled to mean 1/rates[i]."""
-        return self.classes[self.class_of[i]].scaled_to_mean(1.0 / self.rates[i])
-
     def tail(self, i: int) -> float:
         """Aggregate popularity of the n - i least popular contents."""
         if not 0 <= i <= self.n:

@@ -1,11 +1,20 @@
-"""Event-driven simulation of LRU and reset-timer caches.
+"""Simulation of LRU and reset-timer caches fed by stationary renewal streams.
 
 Each content is driven by its own stationary renewal stream: the first
 arrival is drawn from the age (integrated-tail) law so the system starts
 in steady state, and subsequent gaps are i.i.d. inter-request draws.
-Requests across contents are merged in time order (ties broken by content
-index).  Hit/miss indicators are recorded at request epochs after warmup,
-which matches the request-average definition of hit probability.
+Hit/miss indicators are recorded at request epochs after warmup, which
+matches the request-average definition of hit probability.
+
+One engine serves both policies.  It cuts time into windows of about
+2**14 expected requests; in each window the contents whose next request
+falls inside draw their gaps in one vectorized call per class, a
+segmented cumulative sum turns the gaps into request times, and the
+window's requests are merged in time order (ties broken by content
+index).  LRU depends on this merged sequence alone (the stack view of
+Mattson et al. 1970), so its recency update is the only per-request
+Python loop; a reset-timer cache needs none, because a request hits iff
+the same content's previous request is at most the timer earlier.
 
 A single run is strictly sequential and draws all its randomness from one
 Philox stream keyed by (seed, replication); parallelism exists only across
@@ -15,8 +24,8 @@ are reproducible bit for bit from (config, seed).
 
 from __future__ import annotations
 
-import heapq
 import os
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -30,9 +39,6 @@ __all__ = [
     "TTL",
     "SimulationConfig",
     "SimulationReport",
-    "LruState",
-    "TtlState",
-    "measure_tau",
     "init_stationary",
     "run",
     "replicate",
@@ -156,65 +162,6 @@ class SimulationReport:
         return float(np.mean((s < low) | (s > high)))
 
 
-class LruState:
-    """Recency structure: an insertion-ordered map content -> last request
-    time, oldest first, holding at most ``capacity`` entries."""
-
-    __slots__ = ("capacity", "cache")
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.cache = {}
-
-    def request(self, content, now) -> bool:
-        """Apply one request; returns True on hit."""
-        cache = self.cache
-        if content in cache:
-            del cache[content]
-            cache[content] = now
-            return True
-        cache[content] = now
-        if len(cache) > self.capacity:
-            del cache[next(iter(cache))]
-        return False
-
-    @property
-    def occupancy(self) -> int:
-        return len(self.cache)
-
-    def oldest_timestamp(self):
-        return next(iter(self.cache.values())) if self.cache else None
-
-
-class TtlState:
-    """Reset-timer structure: last request time per content; a request hits
-    iff the previous request to the same content is within the timer."""
-
-    __slots__ = ("timer", "last")
-
-    def __init__(self, timer: float):
-        self.timer = timer
-        self.last = {}
-
-    def request(self, content, now) -> bool:
-        prev = self.last.get(content)
-        self.last[content] = now
-        return prev is not None and now - prev <= self.timer
-
-    def occupancy_at(self, now) -> int:
-        return sum(1 for t in self.last.values() if now - t <= self.timer)
-
-
-def measure_tau(state: LruState, now: float):
-    """Width of the smallest past window holding ``capacity`` distinct
-    contents: now minus the capacity-th most recent distinct request time.
-    Returns None while fewer than ``capacity`` distinct contents have been
-    seen."""
-    if len(state.cache) < state.capacity:
-        return None
-    return now - state.oldest_timestamp()
-
-
 def _replication_rng(seed: int, replication: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(replication,))
     return np.random.Generator(np.random.Philox(ss))
@@ -256,148 +203,159 @@ def _resolve_warmup(config: SimulationConfig):
     return 5 * config.catalog.n, 20.0 * t_ref
 
 
-_BUF0 = 8
-_BUF_MAX = 4096
+_WINDOW_EVENTS = 2 ** 14  # expected requests per window
 
 
-def _start_streams(catalog: ContentCatalog, seed: int, replication: int):
-    """Event heap, per-content gap buffers and their refill function.
+def _window_requests(rates, groups, nxt, last, rng, t1):
+    """Requests before t1 of every content whose next request is before t1.
 
-    Gaps of content i are standardized class draws divided by rates[i], all
-    from the replication's one generator: the first _BUF0 per content in
-    one call per class, later ones in doubling batches as buffers run out.
+    Each such content draws ceil(m + 3 sqrt(m) + 2) gaps, m being its
+    expected number of requests left in the window.  The count is fixed
+    before any gap is seen, so keeping the requests below t1 and dropping
+    the unused gaps is exact; the rare content whose gaps all fall inside
+    the window draws again.  Advances nxt (each content's first request at
+    or after t1) and last (its latest request before t1).  Returns (times,
+    ids, prev) in time order, ties broken by content index; prev is the
+    same content's previous request time, -inf before its first.
     """
-    arrivals, rng = init_stationary(catalog, seed, replication)
-    bufs = [None] * catalog.n
-    for dist, idx in _by_class(catalog):
-        block = dist.sample_inter_batch(rng, idx.size * _BUF0).reshape(idx.size, _BUF0)
-        for i, row in zip(idx.tolist(), (block / catalog.rates[idx, None]).tolist()):
-            bufs[i] = row
-    class_dist = [catalog.classes[c] for c in catalog.class_of.tolist()]
-    rates = catalog.rates.tolist()
+    parts = []
+    for dist, idx in groups:
+        todo = idx[nxt[idx] < t1]
+        while todo.size:
+            rate = rates[todo]
+            m = rate * (t1 - nxt[todo])
+            k = np.ceil(m + 3.0 * np.sqrt(m) + 2.0).astype(np.int64)
+            # one segment per content: a zero step, then its k gaps, so a
+            # cumulative sum restarted at each segment gives offsets from nxt
+            ends = np.cumsum(k + 1)
+            starts = ends - k - 1
+            steps = np.zeros(ends[-1])
+            is_gap = np.ones(ends[-1], dtype=bool)
+            is_gap[starts] = False
+            steps[is_gap] = dist.sample_inter_batch(rng, int(k.sum())) / np.repeat(rate, k)
+            run = np.cumsum(steps)
+            t = np.repeat(nxt[todo], k + 1) + (run - np.repeat(run[starts], k + 1))
+            keep = t < t1
+            keep[ends - 1] = False  # the last time of a segment stays pending
+            count = np.add.reduceat(keep, starts, dtype=np.int64)
+            prev = np.empty_like(t)
+            prev[1:] = t[:-1]
+            prev[starts] = last[todo]
+            parts.append((t[keep], np.repeat(todo, k + 1)[keep], prev[keep]))
+            last[todo] = t[starts + count - 1]
+            nxt[todo] = t[starts + count]
+            todo = todo[nxt[todo] < t1]
+    if not parts:
+        return np.empty(0), np.empty(0, dtype=np.int64), np.empty(0)
+    times, ids, prev = (np.concatenate(p) for p in zip(*parts))
+    order = np.lexsort((ids, times))
+    return times[order], ids[order], prev[order]
 
-    def refill(i, size):
-        return (class_dist[i].sample_inter_batch(rng, size) / rates[i]).tolist()
 
-    heap = list(zip(arrivals.tolist(), range(catalog.n)))
-    heapq.heapify(heap)
-    return heap, bufs, refill
+def _lru_pass(cache, capacity, ids, times, hit):
+    """The LRU update: apply requests in order and append their hit flags.
 
-
-def _run_lru_fast(catalog, capacity, total_events, warmup_events, seed, replication):
-    # hot loop: event-count horizon, no tau sampling, no trace
-    n = catalog.n
-    heap, bufs, refill = _start_streams(catalog, seed, replication)
-    cursors = [0] * n
-    cache = {}
-    hits = [0] * n
-    reqs = [0] * n
-    push, pop = heapq.heappush, heapq.heappop
-    t_start = None
-    now = 0.0
-    for k in range(total_events):
-        now, i = pop(heap)
-        if k >= warmup_events:
-            if t_start is None:
-                t_start = now
-            reqs[i] += 1
-            if i in cache:
-                del cache[i]
-                cache[i] = now
-                hits[i] += 1
-            else:
-                cache[i] = now
-                if len(cache) > capacity:
-                    del cache[next(iter(cache))]
+    ``cache`` maps content -> last request time, least recent first."""
+    touch, evict, record = cache.move_to_end, cache.popitem, hit.append
+    for i, t in zip(ids, times):
+        if i in cache:
+            touch(i)
+            cache[i] = t
+            record(True)
         else:
-            if i in cache:
-                del cache[i]
-                cache[i] = now
-            else:
-                cache[i] = now
-                if len(cache) > capacity:
-                    del cache[next(iter(cache))]
-        c = cursors[i]
-        b = bufs[i]
-        if c == len(b):
-            b = refill(i, min(_BUF_MAX, 2 * len(b)))
-            bufs[i] = b
-            c = 0
-        push(heap, (now + b[c], i))
-        cursors[i] = c + 1
-    elapsed = now - (t_start if t_start is not None else now)
-    return (np.asarray(reqs, dtype=np.int64), np.asarray(hits, dtype=np.int64),
-            elapsed, np.empty(0))
+            cache[i] = t
+            record(False)
+            if len(cache) > capacity:
+                evict(last=False)
 
 
-def _run_generic(config: SimulationConfig, replication: int, trace=None):
-    catalog = config.catalog
+def _lru_window(cache, capacity, ids, times, first_tau, stride, check, taus):
+    """Hit flags of one window's requests under LRU.
+
+    With ``stride``, the reuse window (now minus the capacity-th most recent
+    distinct request time) is sampled before the requests at first_tau,
+    first_tau + stride, ... once capacity contents have been seen; with
+    ``check``, occupancy <= capacity is checked after every request.
+    """
+    end = len(ids)
+    if check:
+        stops = range(end + 1)
+    else:
+        stops = [*range(first_tau, end, stride), end] if stride else [end]
+    hit = []
+    done = 0
+    for s in stops:
+        _lru_pass(cache, capacity, ids[done:s], times[done:s], hit)
+        done = s
+        if check and len(cache) > capacity:  # raised, not asserted: python -O keeps it
+            raise AssertionError("LRU capacity exceeded")
+        if stride and first_tau <= s < end and (s - first_tau) % stride == 0 \
+                and len(cache) >= capacity:
+            taus.append(times[s] - next(iter(cache.values())))
+    return np.array(hit, dtype=bool)
+
+
+def _simulate(config: SimulationConfig, replication: int, trace=None):
+    catalog, policy = config.catalog, config.policy
     n = catalog.n
-    heap, bufs, refill = _start_streams(catalog, config.seed, replication)
-    cursors = [0] * n
-    is_lru = isinstance(config.policy, LRU)
-    state = LruState(config.policy.capacity) if is_lru else TtlState(config.policy.timer)
+    nxt, rng = init_stationary(catalog, config.seed, replication)
+    last = np.full(n, -np.inf)
+    groups = list(_by_class(catalog))
+    width = _WINDOW_EVENTS / catalog.total_rate
     warm_ev, warm_t = _resolve_warmup(config)
-    hits = np.zeros(n, dtype=np.int64)
-    reqs = np.zeros(n, dtype=np.int64)
-    taus = []
+    is_lru = isinstance(policy, LRU)
+    cache = OrderedDict()
     stride = config.tau_stride
-    push, pop = heapq.heappush, heapq.heappop
-    measuring = False
+    reqs = np.zeros(n, dtype=np.int64)
+    hits = np.zeros(n, dtype=np.int64)
+    taus = []
+    done = measured = window = 0
     t_start = None
     now = 0.0
-    k = 0
-    measured = 0
-    while True:
-        if config.horizon_events is not None and k >= config.horizon_events:
-            break
-        t, i = pop(heap)
-        if config.horizon_time is not None and t > config.horizon_time:
-            break
-        now = t
-        k += 1
-        if not measuring and k > warm_ev and now >= warm_t:
-            measuring = True
-            t_start = now
-        if measuring:
-            if stride and measured % stride == 0:
-                tau = measure_tau(state, now)
-                if tau is not None:
-                    taus.append(tau)
-            hit = state.request(i, now)
-            reqs[i] += 1
-            if hit:
-                hits[i] += 1
-            measured += 1
-            if trace is not None:
-                trace(now, i, hit)
+    final = False
+    while not final:
+        window += 1
+        t1 = window * width
+        times, ids, prev = _window_requests(catalog.rates, groups, nxt, last, rng, t1)
+        if config.horizon_time is not None:
+            size = int(np.searchsorted(times, config.horizon_time, side="right"))
+            final = config.horizon_time < t1
         else:
-            state.request(i, now)
-        if config.check_invariants and is_lru:
-            assert state.occupancy <= config.policy.capacity, "LRU capacity exceeded"
-        c = cursors[i]
-        b = bufs[i]
-        if c == len(b):
-            b = refill(i, min(_BUF_MAX, 2 * len(b)))
-            bufs[i] = b
-            c = 0
-        push(heap, (now + b[c], i))
-        cursors[i] = c + 1
-    elapsed = now - (t_start if t_start is not None else now)
+            size = min(times.size, config.horizon_events - done)
+            final = done + size == config.horizon_events
+        times, ids, prev = times[:size], ids[:size], prev[:size]
+        first = 0
+        if t_start is None:
+            first = min(size, max(warm_ev - done, int(np.searchsorted(times, warm_t))))
+            if first < size:
+                t_start = float(times[first])
+        if is_lru:
+            first_tau = first + (-measured) % stride if stride else 0
+            hit = _lru_window(cache, policy.capacity, ids.tolist(), times.tolist(),
+                              first_tau, stride, config.check_invariants, taus)
+        else:
+            hit = times - prev <= policy.timer
+        seen, seen_hit = ids[first:], hit[first:]
+        reqs += np.bincount(seen, minlength=n)
+        hits += np.bincount(seen[seen_hit], minlength=n)
+        if trace is not None:
+            for event in zip(times[first:].tolist(), seen.tolist(), seen_hit.tolist()):
+                trace(*event)
+        measured += size - first
+        done += size
+        if size:
+            now = float(times[-1])
+    elapsed = now - t_start if t_start is not None else 0.0
     return reqs, hits, elapsed, np.asarray(taus, dtype=float)
 
 
 def run(config: SimulationConfig, replication: int = 0, trace=None) -> SimulationReport:
-    """Execute one replication and report request-epoch hit statistics."""
-    fast = (trace is None and not config.check_invariants and config.tau_stride == 0
-            and isinstance(config.policy, LRU) and config.horizon_events is not None
-            and config.warmup_time is None and config.warmup_events is not None)
-    if fast:
-        reqs, hits, elapsed, taus = _run_lru_fast(
-            config.catalog, config.policy.capacity, config.horizon_events,
-            config.warmup_events, config.seed, replication)
-    else:
-        reqs, hits, elapsed, taus = _run_generic(config, replication, trace)
+    """Execute one replication and report request-epoch hit statistics.
+
+    ``trace``, if given, is called as trace(time, content, hit) for every
+    measured request, in time order.
+    """
+    reqs, hits, elapsed, taus = _simulate(config, replication, trace)
     return SimulationReport(requests=reqs, hits=hits, elapsed_time=elapsed,
                             tau_samples=taus, replications=1)
 

@@ -180,25 +180,61 @@ def test_04_convergence_sweep_gap_decay(sweep_rows):
     assert agg_last < 0.01
 
 
-def test_05_rate_shape(sweep_rows):
-    """Fitted log-log slope of the aggregate gap against sqrt(log C / C)
-    lies in [0.6, 1.6].
+RATE_EXPONENTS = (0.6, 1.6)
 
-    Each measured gap enters the fit floored at its own Monte Carlo
-    standard error: the aggregate gap is a signed cancellation whose true
-    value sits below the achievable noise floor at the larger n, and the
-    log of a sub-noise magnitude is an unbounded outlier that would make
-    the fit meaningless.  Flooring states exactly what was measured
-    ("no larger than its uncertainty") and leaves the signal points
-    untouched.
+
+def _rate_band(anchor, anchor_se, ratio, z):
+    """Gaps at rate ratio ``ratio`` allowed by the exponents in
+    RATE_EXPONENTS and an anchor gap within z standard errors: the range of
+    the four corners (anchor +- z se) ratio^p."""
+    corners = [(anchor + e) * ratio ** p for e in (-z * anchor_se, z * anchor_se)
+               for p in RATE_EXPONENTS]
+    return min(corners), max(corners)
+
+
+def test_05_rate_shape(sweep_rows):
+    """The aggregate gap decays like sqrt(log C / C)^p with p in [0.6, 1.6],
+    up to Monte Carlo noise.
+
+    The n = 100 row is the anchor: gap g0, standard error s0.  At a later
+    row with rate ratio r = curve_n / curve_100, the exponents 0.6 to 1.6
+    and the anchor values within z* s0 of g0 allow gaps between the least
+    and the largest of the four corners (g0 +- z* s0) r^0.6 and
+    (g0 +- z* s0) r^1.6.  The row passes if its gap g lies within z* s_n
+    of that band.
+
+    False-alarm rate: let the signed gaps be delta r^p for one p in
+    [0.6, 1.6], measured with normal errors: d0 = delta + e0 and
+    d = delta r^p + e, with g0 = |d0| and g = |d|.  The band reaches from
+    at most (g0 - z* s0) r^p to at least (g0 + z* s0) r^p, so a row outside
+    it has | |d| - |d0| r^p | > z* (s_n + s0 r^p), and since
+    | |d| - |d0| r^p | <= |d - d0 r^p| = |e - e0 r^p|, the error difference
+    e - e0 r^p is more than z* (s_n + s0 r^p) from 0.  Whatever the
+    correlation of the two rows, s_n + s0 r^p is at least its standard
+    deviation, so a row fails with probability at most 2 (1 - Phi(z*)).
+    With z* = Phi^-1(1 - 0.05/6) = 2.39 (Bonferroni over the three rows) a
+    correct simulator fails this test with probability at most 0.05.
+
+    From n = 400 on the aggregate gap is below its standard error, so a
+    log-log fit of the gaps would be decided by noise; this band is not.
     """
-    gaps = np.array([max(r.gap_aggregate, r.stderr_agg) for r in sweep_rows])
-    rate = np.array([r.curve_sqrt for r in sweep_rows])
-    slope = float(np.polyfit(np.log(rate), np.log(gaps), 1)[0])
-    ok = 0.6 <= slope <= 1.6
+    assert all(r.status == "ok" for r in sweep_rows)
+    anchor, rows = sweep_rows[0], sweep_rows[1:]
+    z = float(stats.norm.isf(0.05 / (2 * len(rows))))
+    verdicts = []
+    for r in rows:
+        lo, hi = _rate_band(anchor.gap_aggregate, anchor.stderr_agg,
+                            r.curve_sqrt / anchor.curve_sqrt, z)
+        verdicts.append((r.n, r.gap_aggregate, lo - z * r.stderr_agg,
+                         hi + z * r.stderr_agg))
+    ok = all(lo <= g <= hi for _, g, lo, hi in verdicts)
     _line(5, "aggregate-gap rate shape", ok,
-          f"slope {slope:.3f}, noise-floored gaps {[f'{g:.2e}' for g in gaps]}")
-    assert 0.6 <= slope <= 1.6
+          f"z* {z:.2f}, n=100 gap {anchor.gap_aggregate:.2e} "
+          f"(se {anchor.stderr_agg:.1e}); "
+          + ", ".join(f"n={n}: {g:.2e} in [{lo:+.2e}, {hi:.2e}]"
+                      for n, g, lo, hi in verdicts))
+    for n, g, lo, hi in verdicts:
+        assert lo <= g <= hi, f"n={n}: aggregate gap {g:.2e} outside [{lo:+.2e}, {hi:.2e}]"
 
 
 def test_06_fagin_limit_single_class():

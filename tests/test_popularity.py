@@ -128,20 +128,23 @@ class TestBuildCatalog:
     def test_uniform_exponential(self):
         cat = build_catalog(ZipfLaw(0.0), 4, 4.0, Exponential(1.0))
         assert np.allclose(cat.rates, 1.0, atol=1e-14)
+        # content i's gaps are draws of classes[class_of[i]] divided by rates[i]
         for i in range(4):
-            d = cat.dist_of(i)
+            d = cat.classes[cat.class_of[i]]
             assert isinstance(d, Exponential)
-            assert d.mean == pytest.approx(1.0, rel=1e-12)
+            assert d.mean / cat.rates[i] == pytest.approx(1.0, rel=1e-12)
 
     def test_zipf_rates(self):
         cat = build_catalog(ZipfLaw(1.0), 2, 3.0, Exponential(1.0))
         assert np.allclose(cat.rates, [2.0, 1.0], atol=1e-12)
 
-    def test_dist_of_means_match_rates(self):
+    def test_sampled_means_match_rates(self):
         cat = build_catalog(ZipfLaw(0.9), 30, 7.0,
                             [(0.5, Gamma(2.0, 2.0)), (0.5, Weibull(1.5, 1.0))])
-        for i in (0, 10, 15, 29):
-            assert cat.dist_of(i).mean == pytest.approx(1.0 / cat.rates[i], rel=1e-9)
+        for i, family in ((0, Gamma), (10, Gamma), (15, Weibull), (29, Weibull)):
+            d = cat.classes[cat.class_of[i]]
+            assert isinstance(d, family)
+            assert d.mean / cat.rates[i] == pytest.approx(1.0 / cat.rates[i], rel=1e-9)
 
     def test_density_law_approaches_zipf(self):
         # density-form weights converge to Zipf beyond the first few ranks;

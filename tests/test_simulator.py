@@ -3,13 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from ttlapprox.approx import characteristic_time
 from ttlapprox.distributions import Exponential, Gamma, Weibull
 from ttlapprox.errors import ConfigError
 from ttlapprox.popularity import ContentCatalog, ZipfLaw, build_catalog
-from ttlapprox.simulator import (LRU, TTL, LruState, SimulationConfig, TtlState,
-                                 init_stationary, measure_tau, replicate, run)
+from ttlapprox.simulator import (_WINDOW_EVENTS, LRU, TTL, SimulationConfig,
+                                 init_stationary, replicate, run)
 
 from oracles import lru_irm_markov, lru_irm_product_form
 
@@ -21,6 +22,34 @@ def exp_catalog(rates):
 
 
 THREE = exp_catalog([6.0, 3.0, 2.0])
+
+# bursty and non-exponential: a wrong window merge shows in these streams
+RENEWAL = build_catalog(ZipfLaw(0.8), 12, 12.0,
+                        [(0.5, Gamma(0.5, 1.0)), (0.5, Weibull(0.7, 1.0))])
+
+
+def traced(config):
+    """Run one replication and return its report and the measured requests
+    as arrays (times, contents, hits)."""
+    rows = []
+    report = run(config, trace=lambda t, i, h: rows.append((t, i, h)))
+    times, ids, hits = zip(*rows)
+    return report, np.array(times), np.array(ids), np.array(hits)
+
+
+def brute_force_lru(ids, times, C):
+    """Replay through a recency list: per request, whether it hits and the
+    reuse window just before it (None while fewer than C contents were
+    seen)."""
+    recency, last, hits, taus = [], {}, [], []
+    for i, t in zip(ids.tolist(), times.tolist()):
+        taus.append(t - last[recency[C - 1]] if len(recency) >= C else None)
+        hits.append(i in recency[:C])
+        if i in recency:
+            recency.remove(i)
+        recency.insert(0, i)
+        last[i] = t
+    return np.array(hits), taus
 
 
 class TestConfigValidation:
@@ -141,49 +170,116 @@ class TestRun:
 
 
 class TestRecencySemantics:
+    # every request is measured (warmup 0), so the trace is the whole path
+    # and spans several windows of the engine
+
     def test_measure_tau_example(self):
-        st = LruState(2)
-        st.request("c", 5.0)
-        st.request("b", 8.0)
-        st.request("a", 10.0)
-        assert measure_tau(st, 11.0) == pytest.approx(3.0)
+        cfg = SimulationConfig(catalog=RENEWAL, policy=LRU(2), horizon_events=40_000,
+                               warmup_events=0, seed=3, tau_stride=1)
+        rep, times, ids, _ = traced(cfg)
+        _, taus = brute_force_lru(ids, times, 2)
+        expected = [tau for tau in taus if tau is not None]
+        assert times[-1] > 2 * _WINDOW_EVENTS / RENEWAL.total_rate
+        assert np.array_equal(rep.tau_samples, expected)
 
     def test_measure_tau_capacity_one(self):
-        st = LruState(1)
-        st.request("a", 4.0)
-        st.request("b", 9.0)
-        assert measure_tau(st, 10.0) == pytest.approx(1.0)
+        # with C = 1 the window is the time since the previous request
+        cfg = SimulationConfig(catalog=RENEWAL, policy=LRU(1), horizon_events=40_000,
+                               warmup_events=0, seed=4, tau_stride=1)
+        rep, times, _, _ = traced(cfg)
+        assert np.array_equal(rep.tau_samples, np.diff(times))
 
     def test_measure_tau_undefined(self):
-        st = LruState(3)
-        st.request("a", 1.0)
-        assert measure_tau(st, 2.0) is None
+        # no window is sampled before C distinct contents have been seen,
+        # and with warmup and stride 5 the samples are every fifth measured
+        # request of the same path, counted across windows
+        full = SimulationConfig(catalog=RENEWAL, policy=LRU(12), horizon_events=40_000,
+                                warmup_events=0, seed=5, tau_stride=1)
+        rep, times, ids, _ = traced(full)
+        _, taus = brute_force_lru(ids, times, 12)
+        undefined = sum(tau is None for tau in taus)
+        assert 12 <= undefined < rep.total_requests
+        assert taus[undefined:].count(None) == 0
+        assert np.array_equal(rep.tau_samples, taus[undefined:])
+        strided = SimulationConfig(catalog=RENEWAL, policy=LRU(12),
+                                   horizon_events=40_000, warmup_events=7_001, seed=5,
+                                   tau_stride=5)
+        assert np.array_equal(run(strided).tau_samples, taus[7_001::5])
 
     def test_lru_hit_iff_among_c_most_recent(self):
-        # replay a random trace against a brute-force recency scan
-        rng = np.random.default_rng(17)
-        C, n = 5, 12
-        st = LruState(C)
-        recency = []
-        now = 0.0
-        for _ in range(10_000):
-            now += float(rng.exponential(0.1))
-            i = int(rng.integers(0, n))
-            brute_hit = i in recency[:C]
-            assert st.request(i, now) == brute_hit
-            if i in recency:
-                recency.remove(i)
-            recency.insert(0, i)
+        for C in (1, 5, 11):
+            cfg = SimulationConfig(catalog=RENEWAL, policy=LRU(C), horizon_events=40_000,
+                                   warmup_events=0, seed=17, check_invariants=True)
+            rep, times, ids, hits = traced(cfg)
+            assert rep.total_requests == times.size == 40_000
+            assert np.all(np.diff(times) >= 0)
+            assert np.array_equal(hits, brute_force_lru(ids, times, C)[0])
+
+    def test_ttl_hit_iff_previous_request_within_timer(self):
+        T = 1.3
+        cfg = SimulationConfig(catalog=RENEWAL, policy=TTL(T), horizon_events=40_000,
+                               warmup_events=0, seed=18)
+        _, times, ids, hits = traced(cfg)
+        assert np.all(np.diff(times) >= 0)
+        last = {}
+        expected = []
+        for i, t in zip(ids.tolist(), times.tolist()):
+            expected.append(i in last and t - last[i] <= T)
+            last[i] = t
+        assert np.array_equal(hits, expected)
 
     def test_ttl_hit_monotone_in_timer(self):
-        rng = np.random.default_rng(19)
-        times = np.cumsum(rng.exponential(0.2, 5_000))
-        contents = rng.integers(0, 8, 5_000)
-        small, large = TtlState(0.5), TtlState(1.5)
-        for t, i in zip(times, contents):
-            h1 = small.request(int(i), float(t))
-            h2 = large.request(int(i), float(t))
-            assert h2 >= h1  # pointwise: longer timer never loses a hit
+        # the request path depends on the seed only, so both timers see it
+        short, long = (SimulationConfig(catalog=RENEWAL, policy=TTL(T),
+                                        horizon_events=20_000, warmup_events=0, seed=19)
+                       for T in (0.5, 1.5))
+        _, t1, i1, h1 = traced(short)
+        _, t2, i2, h2 = traced(long)
+        assert np.array_equal(t1, t2) and np.array_equal(i1, i2)
+        assert np.all(h2 >= h1)  # pointwise: longer timer never loses a hit
+        assert np.any(h2 > h1)
+
+
+class TestWindowMerge:
+    def test_gaps_follow_class_law_across_windows(self):
+        # 4096 equally popular unit-rate contents make about 4 requests each
+        # per window, so roughly a quarter of all gaps straddle a window edge.
+        # A gap is kept iff it starts before time 50, which depends on the
+        # earlier gaps only, so the kept gaps are i.i.d. draws of the law;
+        # keeping the gaps that end before the horizon instead would drop
+        # each content's last, length-biased gap.  Gaps longer than 25 (the
+        # horizon is at 75) have probability below 1e-4 in both classes.
+        cat = build_catalog(ZipfLaw(0.0), 4096, 4096.0,
+                            [(0.5, Gamma(0.5, 1.0)), (0.5, Weibull(0.7, 1.0))])
+        cfg = SimulationConfig(catalog=cat, policy=TTL(1.0), horizon_time=75.0,
+                               warmup_events=0, seed=21)
+        _, times, ids, _ = traced(cfg)
+        order = np.lexsort((times, ids))
+        t, i = times[order], ids[order]
+        keep = (i[1:] == i[:-1]) & (t[:-1] < 50.0)
+        start, end, who = t[:-1][keep], t[1:][keep], i[1:][keep]
+        width = _WINDOW_EVENTS / cat.total_rate
+        straddle = np.floor(end / width) > np.floor(start / width)
+        assert straddle.sum() > 40_000
+        for c, dist in enumerate(cat.classes):
+            mine = cat.class_of[who] == c
+            u = dist.cdf((end - start)[mine] * cat.rates[who[mine]])
+            assert stats.kstest(u, "uniform").pvalue > 1e-3
+
+    def test_horizon_time_cuts_the_same_path(self):
+        width = _WINDOW_EVENTS / THREE.total_rate
+        horizon = 2.6 * width
+        short, long = (SimulationConfig(catalog=THREE, policy=LRU(2), horizon_time=h,
+                                        warmup_time=0.3 * width, seed=23)
+                       for h in (horizon, 4.0 * width))
+        rep, t1, i1, h1 = traced(short)
+        _, t2, i2, h2 = traced(long)
+        assert t1[-1] <= horizon < t2[-1]
+        assert t1[0] >= 0.3 * width
+        k = t1.size
+        assert np.array_equal(t1, t2[:k]) and np.array_equal(i1, i2[:k])
+        assert np.array_equal(h1, h2[:k]) and t2[k] > horizon
+        assert rep.elapsed_time == t1[-1] - t1[0]
 
 
 class TestTauSampling:
