@@ -20,7 +20,7 @@ catalog = build_catalog(ZipfLaw(alpha), n, total_rate=float(n),
 result = characteristic_time(catalog, C)
 print(f"catalog: n={n}, Zipf({alpha}), Poisson streams, C={C}")
 print(f"characteristic time T = {result.t:.6f}")
-print(f"  solver: {result.method}, {result.iterations} iterations, "
+print(f"  solver: monotone Newton from C / total_rate, {result.iterations} steps, "
       f"residual {result.residual:.2e}")
 print(f"  occupancy check: K(T) = {expected_occupancy(catalog, result.t):.6f} (= C)")
 

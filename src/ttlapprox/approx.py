@@ -2,9 +2,10 @@
 
 The expected number of contents resident in a timer cache with reset
 timer T is K(T) = sum_i age_cdf_i(T); the characteristic time of an LRU
-cache of capacity C is the unique T with K(T) = C.  Timer-cache hit
-probabilities evaluated at that T approximate the LRU hit probabilities,
-per content and in aggregate.
+cache of capacity C is the unique T with K(T) = C.  K is concave and
+increasing, so ``characteristic_time`` finds T by monotone Newton from
+the left.  Timer-cache hit probabilities evaluated at that T approximate
+the LRU hit probabilities, per content and in aggregate.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericsError
+from .distributions import monotone_newton
+from .errors import ConfigError
 from .popularity import ContentCatalog
 
 __all__ = [
@@ -85,89 +87,38 @@ def tn_bracket(catalog: ContentCatalog, C: float, psi, n1: int | None = None,
 
 @dataclass(frozen=True)
 class CharacteristicTimeResult:
-    """Solved characteristic time with its bracket and solver diagnostics."""
+    """Solved characteristic time, its residual |K(t) - C| and Newton steps."""
 
     t: float
-    lower: float
-    upper: float
     residual: float
     iterations: int
-    method: str
-
-    @property
-    def bracket(self) -> tuple[float, float]:
-        return (self.lower, self.upper)
 
 
-def characteristic_time(catalog: ContentCatalog, C: float, psi=None,
-                        rtol: float = 1e-9, max_iter: int = 200) -> CharacteristicTimeResult:
-    """Solve K(T) = C by safeguarded Newton inside a verified bracket.
+def characteristic_time(catalog: ContentCatalog, C: float,
+                        rtol: float = 1e-9) -> CharacteristicTimeResult:
+    """Solve K(T) = C by monotone Newton from T = C / total_rate.
 
     K is concave and strictly increasing while K < n, so the root is
-    unique.  When ``psi`` is given the analytic bracket seeds the search;
-    otherwise the lower bound C/total_rate is doubled until K exceeds C.
+    unique, and K(T) <= total_rate * T puts the start at or left of it:
+    the Newton iterates rise monotonically to the root with no bracket.
 
     Raises
     ------
     ConfigError
-        if C is not inside (0, n); K saturates at n.
+        if C is not inside (0, n), where K saturates at n, or if rtol is
+        not a positive finite number.
     NumericsError
-        if the residual target rtol*C is not met within max_iter steps.
+        if the residual target rtol*C is not met.
     """
     n = catalog.n
     if not 0.0 < C < n:
         raise ConfigError(f"infeasible occupancy: C must be in (0, n), got C={C}, n={n}")
-    lam = catalog.total_rate
-    lo = C / lam  # K(T) <= total_rate*T, so K(lo) <= C
-    hi = None
-    if psi is not None:
-        try:
-            b_lo, b_hi = tn_bracket(catalog, C, psi)
-        except ConfigError:
-            b_lo, b_hi = lo, None
-        lo = max(lo, b_lo)
-        if b_hi is not None and expected_occupancy(catalog, b_hi) >= C:
-            hi = b_hi
-    iterations = 0
-    if hi is None:
-        hi = max(lo, 1.0 / lam) * 2.0
-        while expected_occupancy(catalog, hi) < C:
-            hi *= 2.0
-            iterations += 1
-            if iterations > 2000:
-                raise NumericsError("bracket expansion failed: K(T) never reached C")
-    analytic = (lo, hi)
-    f_lo = expected_occupancy(catalog, lo) - C
-    if f_lo >= 0.0 and abs(f_lo) <= rtol * C:
-        return CharacteristicTimeResult(lo, analytic[0], analytic[1], abs(f_lo),
-                                        iterations, "newton-safeguarded")
-    x = hi
-    fx = expected_occupancy(catalog, x) - C
-    tol = rtol * C
-    blo, bhi = lo, hi
-    while abs(fx) > tol:
-        iterations += 1
-        if iterations > max_iter:
-            raise NumericsError(
-                f"characteristic time did not converge after {max_iter} iterations; "
-                f"best bracket [{blo}, {bhi}], residual {abs(fx):.3e}")
-        if fx > 0:
-            bhi = min(bhi, x)
-        else:
-            blo = max(blo, x)
-        d = occupancy_derivative(catalog, x)
-        step_ok = d > 0
-        if step_ok:
-            x_new = x - fx / d
-            step_ok = blo < x_new < bhi
-        if not step_ok:
-            x_new = 0.5 * (blo + bhi)
-        x = x_new
-        fx = expected_occupancy(catalog, x) - C
-        if bhi - blo <= 1e-12 * bhi:
-            break
-    return CharacteristicTimeResult(x, analytic[0], analytic[1], abs(fx),
-                                    iterations, "newton-safeguarded")
+    if not (math.isfinite(rtol) and rtol > 0.0):
+        raise ConfigError(f"rtol must be a positive finite number, got {rtol!r}")
+    t, residual, steps = monotone_newton(lambda T: expected_occupancy(catalog, T) - C,
+                                         lambda T: occupancy_derivative(catalog, T),
+                                         C / catalog.total_rate, rtol * C)
+    return CharacteristicTimeResult(t, residual, steps)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ converges: T_n ~ nu0 / (g_n * Lambda_n), with nu0 the root of
 
     beta(nu) = sum_j b_j * integral_0^1 psihat_j(nu * f_j(x)) dx = beta0,
 
-where beta0 is the limiting cache-to-catalog ratio.  The limiting
-aggregate hit probability is sum_j b_j * integral f_j(x) psi_j(nu0 f_j(x)) dx.
+where beta0 is the limiting cache-to-catalog ratio.  beta is increasing
+and concave, so ``solve_nu0`` finds nu0 by the same monotone Newton that
+solves K(T) = C at finite n.  The limiting aggregate hit probability is
+sum_j b_j * integral f_j(x) psi_j(nu0 f_j(x)) dx.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 from scipy import integrate
 
 from .densities import ConstantDensity, PowerLawDensity, TabulatedDensity
+from .distributions import monotone_newton
 from .errors import ConfigError, QuadratureError
 from .popularity import ContentCatalog
 
@@ -111,8 +114,7 @@ def _class_integral(cls: ModelClass, fn_of_f) -> float:
         val, err = integrate.quad(integrand, 0.0, 1.0, epsabs=_QUAD_ATOL / 10,
                                   epsrel=1e-12, limit=300)
         if err > _QUAD_ATOL:
-            raise QuadratureError(
-                f"class integral did not meet tolerance: error {err:.2e}", achieved=err)
+            raise QuadratureError(f"class integral did not meet tolerance: error {err:.2e}")
         return float(val)
     raise ConfigError(f"unsupported density type {type(f).__name__}")
 
@@ -132,39 +134,25 @@ def beta_fn(model: AsymptoticModel, nu: float) -> float:
 @dataclass(frozen=True)
 class Nu0Result:
     nu0: float
-    beta_at_nu0: float
     residual: float
-    bracket: tuple
 
 
-def solve_nu0(model: AsymptoticModel, tol: float = 1e-9,
-              max_iter: int = 200) -> Nu0Result:
-    """Bisection for beta(nu) = beta0; beta is increasing and spans [0, 1)."""
-    beta0 = model.beta0
-    lo, flo = 0.0, 0.0
-    hi = 1.0
-    expansions = 0
-    while beta_fn(model, hi) < beta0:
-        hi *= 2.0
-        expansions += 1
-        if expansions > 200:
-            raise QuadratureError("nu0 bracket expansion failed; beta never reached beta0")
-    mid, fmid = hi, beta_fn(model, hi)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fmid = beta_fn(model, mid)
-        if abs(fmid - beta0) <= tol:
-            break
-        if fmid < beta0:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        raise QuadratureError(
-            f"nu0 bisection did not reach residual {tol}; best {abs(fmid - beta0):.2e}",
-            achieved=abs(fmid - beta0))
-    return Nu0Result(nu0=mid, beta_at_nu0=fmid, residual=abs(fmid - beta0),
-                     bracket=(lo, hi))
+def solve_nu0(model: AsymptoticModel) -> Nu0Result:
+    """Root of beta(nu) = beta0 by monotone Newton from nu = 0.
+
+    The age density of a unit-mean psi is its ccdf, so
+    beta'(nu) = sum_j b_j * integral f_j(x) psi_j.ccdf(nu f_j(x)) dx, which
+    never increases: beta is concave.  The slope at 0 is the normalization
+    1, so the first step lands on nu = beta0.  The residual target is ten
+    times the quadrature tolerance.
+    """
+    def slope(nu):
+        return math.fsum(c.weight * _class_integral(c, lambda fv: fv * c.psi.ccdf(nu * fv))
+                         for c in model.classes)
+
+    nu0, residual, _ = monotone_newton(lambda nu: beta_fn(model, nu) - model.beta0, slope,
+                                       0.0, 10.0 * _QUAD_ATOL)
+    return Nu0Result(nu0=nu0, residual=residual)
 
 
 def hit_limit(model: AsymptoticModel, nu0: float | None = None) -> float:

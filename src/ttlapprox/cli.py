@@ -149,8 +149,8 @@ def _cmd_solve_ct(args):
     C = _cache_spec(cfg, "lru")
     res = approx.characteristic_time(catalog, float(C))
     hit = approx.ttl_hit(catalog, res.t)
-    payload = {"T_n": res.t, "bracket": [res.lower, res.upper], "residual": res.residual,
-               "iterations": res.iterations, "aggregate_ttl_hit": hit.aggregate}
+    payload = {"T_n": res.t, "residual": res.residual, "iterations": res.iterations,
+               "aggregate_ttl_hit": hit.aggregate}
     _emit_json(payload, args, "solve_ct.json")
     if args.per_content:
         _per_content_csv(catalog, hit.per_content, sys.stdout)

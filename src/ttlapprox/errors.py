@@ -12,8 +12,4 @@ class NumericsError(RuntimeError):
 
 
 class QuadratureError(NumericsError):
-    """Quadrature did not converge; carries the achieved error bound."""
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
+    """Quadrature did not meet its error tolerance."""

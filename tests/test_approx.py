@@ -163,6 +163,12 @@ class TestCharacteristicTime:
         with pytest.raises(ConfigError, match="infeasible occupancy"):
             characteristic_time(cat, 0.0)
 
+    @pytest.mark.parametrize("rtol", [math.nan, math.inf, 0.0, -1e-9])
+    def test_rtol_must_be_positive_finite(self, rtol):
+        cat = poisson_catalog(1000, 0.8, 1000.0)
+        with pytest.raises(ConfigError, match="rtol"):
+            characteristic_time(cat, 300.0, rtol=rtol)
+
     def test_rate_rescaling_invariance(self):
         rng = np.random.default_rng(32)
         cat = random_catalog(rng, n=50)

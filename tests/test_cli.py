@@ -5,7 +5,10 @@ import math
 import pytest
 
 from ttlapprox import cli
+from ttlapprox.approx import expected_occupancy
+from ttlapprox.distributions import Exponential
 from ttlapprox.errors import NumericsError
+from ttlapprox.popularity import ZipfLaw, build_catalog
 
 
 def write_config(tmp_path, extra=None):
@@ -41,7 +44,8 @@ class TestSolveCt:
         rc = cli.main(["--config", write_config(tmp_path), "solve-ct"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["bracket"][0] <= payload["T_n"] <= payload["bracket"][1]
+        catalog = build_catalog(ZipfLaw(0.8), 60, 60.0, Exponential(1.0))
+        assert abs(expected_occupancy(catalog, payload["T_n"]) - 18) <= 1e-9 * 18
         assert payload["residual"] <= 1e-9 * 18
         assert 0.0 < payload["aggregate_ttl_hit"] < 1.0
 

@@ -1,0 +1,19 @@
+"""Every script in demos/ runs to completion in-process."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def test_all_six_demos_collected():
+    assert len(DEMOS) == 6
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the sweep demo writes its CSV to the working directory
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out.strip()
