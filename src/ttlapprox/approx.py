@@ -4,8 +4,9 @@ The expected number of contents resident in a timer cache with reset
 timer T is K(T) = sum_i age_cdf_i(T); the characteristic time of an LRU
 cache of capacity C is the unique T with K(T) = C.  K is concave and
 increasing, so ``characteristic_time`` finds T by monotone Newton from
-the left.  Timer-cache hit probabilities evaluated at that T approximate
-the LRU hit probabilities, per content and in aggregate.
+the left; each step gets K and K' = sum_i rate_i ccdf_i(T) from one pass
+of the class kernels.  Timer-cache hit probabilities evaluated at that T
+approximate the LRU hit probabilities, per content and in aggregate.
 """
 
 from __future__ import annotations
@@ -33,23 +34,29 @@ __all__ = [
 ]
 
 
-def expected_occupancy(catalog: ContentCatalog, T: float) -> float:
-    """K(T): expected number of timer-resident contents at timer T."""
+def _occupancy_and_slope(catalog: ContentCatalog, T: float) -> tuple[float, float]:
+    """(K(T), K'(T)) in one pass over the classes: each class kernel returns
+    the age cdf and the ccdf of its contents together."""
     if T < 0:
         raise ConfigError(f"T must be >= 0, got {T}")
-    if T == 0:
-        return 0.0
-    # scale-family identity: age cdf of content i at T is the class age cdf at rate_i*T
-    return math.fsum(float(np.sum(dist.age_cdf(rates * T)))
-                     for dist, rates in catalog.class_rate_groups())
+    k, slope = [], []
+    # scale-family identity: the age cdf (ccdf) of content i at T is the
+    # class age cdf (ccdf) at rate_i*T
+    for dist, rates in catalog.class_rate_groups():
+        age, ccdf = dist._age_cdf_ccdf(rates * T)
+        k.append(float(np.sum(age)))
+        slope.append(float(np.sum(rates * ccdf)))
+    return math.fsum(k), math.fsum(slope)
+
+
+def expected_occupancy(catalog: ContentCatalog, T: float) -> float:
+    """K(T): expected number of timer-resident contents at timer T."""
+    return _occupancy_and_slope(catalog, T)[0]
 
 
 def occupancy_derivative(catalog: ContentCatalog, T: float) -> float:
     """K'(T) = sum_i rate_i * ccdf_i(T), the aggregate miss rate at timer T."""
-    if T < 0:
-        raise ConfigError(f"T must be >= 0, got {T}")
-    return math.fsum(float(np.sum(rates * dist.ccdf(rates * T)))
-                     for dist, rates in catalog.class_rate_groups())
+    return _occupancy_and_slope(catalog, T)[1]
 
 
 def miss_probability(catalog: ContentCatalog, T: float) -> float:
@@ -115,9 +122,11 @@ def characteristic_time(catalog: ContentCatalog, C: float,
         raise ConfigError(f"infeasible occupancy: C must be in (0, n), got C={C}, n={n}")
     if not (math.isfinite(rtol) and rtol > 0.0):
         raise ConfigError(f"rtol must be a positive finite number, got {rtol!r}")
-    t, residual, steps = monotone_newton(lambda T: expected_occupancy(catalog, T) - C,
-                                         lambda T: occupancy_derivative(catalog, T),
-                                         C / catalog.total_rate, rtol * C)
+    def f_and_slope(T):
+        k, slope = _occupancy_and_slope(catalog, T)
+        return k - C, slope
+
+    t, residual, steps = monotone_newton(f_and_slope, C / catalog.total_rate, rtol * C)
     return CharacteristicTimeResult(t, residual, steps)
 
 

@@ -10,6 +10,11 @@ where beta0 is the limiting cache-to-catalog ratio.  beta is increasing
 and concave, so ``solve_nu0`` finds nu0 by the same monotone Newton that
 solves K(T) = C at finite n.  The limiting aggregate hit probability is
 sum_j b_j * integral f_j(x) psi_j(nu0 f_j(x)) dx.
+
+The class integrals use a vectorized adaptive Gauss-Legendre rule: each
+round evaluates the integrand at every node of every open panel in one
+call, and an integrand may return several components, so one pass gives
+beta and beta' together.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .densities import ConstantDensity, PowerLawDensity, TabulatedDensity
 from .distributions import monotone_newton
@@ -86,49 +90,115 @@ class AsymptoticModel:
                 "expected 1")
 
 
-def _class_integral(cls: ModelClass, fn_of_f) -> float:
+_GAUSS_LO = np.polynomial.legendre.leggauss(10)
+_GAUSS_HI = np.polynomial.legendre.leggauss(20)
+_MAX_BISECTIONS = 60
+_MAX_PANELS = 4096
+
+
+def _finite(values) -> np.ndarray:
+    v = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise QuadratureError("class integrand returned a value that is not finite")
+    return v
+
+
+def _gauss_panels(g, a, h):
+    """10- and 20-point Gauss-Legendre sums of g on the panels [a, a + h]."""
+    (x10, w10), (x20, w20) = _GAUSS_LO, _GAUSS_HI
+    nodes = np.concatenate((x10, x20))
+    v = _finite(g((a[:, None] + 0.5 * h[:, None] * (nodes + 1.0)).ravel()))
+    v = v.reshape(v.shape[:-1] + (a.size, nodes.size))
+    return 0.5 * h * (v[..., :10] @ w10), 0.5 * h * (v[..., 10:] @ w20)
+
+
+def _adaptive_gauss(g, tol: float = _QUAD_ATOL / 10):
+    """Integral of g over [0, 1] by adaptive Gauss-Legendre on panels.
+
+    g maps an array of points to values along its last axis, with any
+    number of leading components.  Every round evaluates all open panels
+    in one call of g.  The error of a panel is the largest difference of
+    its 10- and 20-point sums over the components; a panel within its
+    share tol * width is closed, and the others are bisected.  The 20-point
+    sums are returned once the errors of all panels add up to at most tol.
+
+    Raises
+    ------
+    QuadratureError
+        if g returns a value that is not finite, or if the error does not
+        meet tol within _MAX_BISECTIONS bisections or _MAX_PANELS panels.
+    """
+    a, h = np.zeros(1), np.ones(1)
+    closed, closed_err = [], 0.0
+    for _ in range(_MAX_BISECTIONS):
+        i10, i20 = _gauss_panels(g, a, h)
+        err = np.abs(i20 - i10).reshape(-1, a.size).max(axis=0)
+        if closed_err + math.fsum(err.tolist()) <= tol:
+            closed.append(i20)
+            return np.sum(np.concatenate(closed, axis=-1), axis=-1)
+        ok = err <= tol * h
+        closed.append(i20[..., ok])
+        closed_err += math.fsum(err[ok].tolist())
+        a, h = a[~ok], 0.5 * h[~ok]
+        a, h = np.concatenate((a, a + h)), np.concatenate((h, h))
+        if a.size > _MAX_PANELS:
+            break
+    raise QuadratureError(f"class integral did not meet its tolerance {tol:.1e}")
+
+
+def _class_integral(cls: ModelClass, fn_of_f) -> np.ndarray:
     """Integrate fn_of_f(f(x)) dx over (0, 1] for one class.
 
-    Power-law densities are integrated after the substitution
-    x = u^(1/(1-alpha)), which removes the endpoint singularity and leaves
-    a bounded integrand; constants need no quadrature; tabulated densities
-    use the midpoint rule on their own grid.
+    fn_of_f is vectorized: it maps an array of density values to values
+    along its last axis, with any number of leading components, and the
+    result has the leading shape.  Power-law densities are integrated
+    after the substitution x = u^(1/(1-alpha)), which removes the endpoint
+    singularity and leaves a bounded integrand for ``_adaptive_gauss``;
+    constants need no quadrature; tabulated densities use the midpoint
+    rule on their own grid, all nodes in one call.
+
+    Raises
+    ------
+    QuadratureError
+        if fn_of_f returns a value that is not finite, or if the adaptive
+        rule does not meet its tolerance.
     """
     f = cls.density
-    if isinstance(f, ConstantDensity):
-        return float(fn_of_f(f.value))
-    if isinstance(f, TabulatedDensity):
-        vals = np.asarray(f.values)
-        return float(np.mean([fn_of_f(v) for v in vals]))
-    if isinstance(f, PowerLawDensity):
+    if isinstance(f, PowerLawDensity) and f.exponent > 0.0:
         a = f.exponent
-        if a == 0.0:
-            return float(fn_of_f(f.coefficient))
         q = a / (1.0 - a)
+        return _adaptive_gauss(lambda u: fn_of_f(f.coefficient * u ** (-q)) * (u ** q / (1.0 - a)))
+    if isinstance(f, ConstantDensity):
+        table = [f.value]
+    elif isinstance(f, PowerLawDensity):
+        table = [f.coefficient]
+    elif isinstance(f, TabulatedDensity):
+        table = f.values
+    else:
+        raise ConfigError(f"unsupported density type {type(f).__name__}")
+    return np.mean(_finite(fn_of_f(np.asarray(table, dtype=float))), axis=-1)
 
-        def integrand(u):
-            if u <= 0.0:
-                return 0.0
-            return fn_of_f(f.coefficient * u ** (-q)) * u ** q / (1.0 - a)
 
-        val, err = integrate.quad(integrand, 0.0, 1.0, epsabs=_QUAD_ATOL / 10,
-                                  epsrel=1e-12, limit=300)
-        if err > _QUAD_ATOL:
-            raise QuadratureError(f"class integral did not meet tolerance: error {err:.2e}")
-        return float(val)
-    raise ConfigError(f"unsupported density type {type(f).__name__}")
+def _beta_and_slope(model: AsymptoticModel, nu: float) -> tuple[float, float]:
+    """(beta(nu), beta'(nu)) from one quadrature per class of the fused
+    age-cdf/ccdf kernel."""
+    if nu < 0:
+        raise ConfigError(f"nu must be >= 0, got {nu}")
+    beta, slope = [], []
+    for c in model.classes:
+        def integrand(fv):
+            age, ccdf = c.psi._age_cdf_ccdf(nu * fv)
+            return np.stack((age, fv * ccdf))
+        b, s = c.weight * _class_integral(c, integrand)
+        beta.append(b)
+        slope.append(s)
+    # quadrature rounding can land a few ulp above 1
+    return min(math.fsum(beta), 1.0), math.fsum(slope)
 
 
 def beta_fn(model: AsymptoticModel, nu: float) -> float:
     """Expected limiting occupancy fraction at scaled timer nu."""
-    if nu < 0:
-        raise ConfigError(f"nu must be >= 0, got {nu}")
-    if nu == 0:
-        return 0.0
-    val = math.fsum(
-        c.weight * _class_integral(c, lambda fv: c.psi.age_cdf(nu * fv))
-        for c in model.classes)
-    return min(val, 1.0)  # quadrature rounding can land a few ulp above 1
+    return _beta_and_slope(model, nu)[0]
 
 
 @dataclass(frozen=True)
@@ -142,16 +212,16 @@ def solve_nu0(model: AsymptoticModel) -> Nu0Result:
 
     The age density of a unit-mean psi is its ccdf, so
     beta'(nu) = sum_j b_j * integral f_j(x) psi_j.ccdf(nu f_j(x)) dx, which
-    never increases: beta is concave.  The slope at 0 is the normalization
-    1, so the first step lands on nu = beta0.  The residual target is ten
-    times the quadrature tolerance.
+    never increases: beta is concave.  Each step integrates beta and beta'
+    together.  The slope at 0 is the normalization 1, so the first step
+    lands on nu = beta0.  The residual target is ten times the quadrature
+    tolerance.
     """
-    def slope(nu):
-        return math.fsum(c.weight * _class_integral(c, lambda fv: fv * c.psi.ccdf(nu * fv))
-                         for c in model.classes)
+    def f_and_slope(nu):
+        beta, slope = _beta_and_slope(model, nu)
+        return beta - model.beta0, slope
 
-    nu0, residual, _ = monotone_newton(lambda nu: beta_fn(model, nu) - model.beta0, slope,
-                                       0.0, 10.0 * _QUAD_ATOL)
+    nu0, residual, _ = monotone_newton(f_and_slope, 0.0, 10.0 * _QUAD_ATOL)
     return Nu0Result(nu0=nu0, residual=residual)
 
 
@@ -166,7 +236,7 @@ def hit_limit_by_class(model: AsymptoticModel, nu0: float | None = None) -> list
     """Per-class contributions b_j * integral f_j(x) psi_j(nu0 f_j(x)) dx."""
     if nu0 is None:
         nu0 = solve_nu0(model).nu0
-    return [c.weight * _class_integral(c, lambda fv: fv * c.psi.cdf(nu0 * fv))
+    return [c.weight * float(_class_integral(c, lambda fv: fv * c.psi.cdf(nu0 * fv)))
             for c in model.classes]
 
 
@@ -242,7 +312,7 @@ def fagin_catalog(model: AsymptoticModel, n: int, total_rate: float) -> ContentC
         weights.append(w)
         class_of.append(np.full(nj, j, dtype=np.int64))
     w = np.concatenate(weights)
-    p = w / math.fsum(w)
+    p = w / math.fsum(w.tolist())
     return ContentCatalog(rates=p * total_rate,
                           classes=tuple(c.psi for c in model.classes),
                           class_of=np.concatenate(class_of))

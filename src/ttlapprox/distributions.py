@@ -11,10 +11,14 @@ distribution
 
 which is the stationary distribution of the time since (equivalently,
 until) the last (next) request, plus quantiles and seeded samplers for
-both laws.  Quantiles without a closed form come from ``monotone_newton``,
-the package's one root finder: both cdfs are concave where it is used, so
-Newton from 0 rises to the root with no bracket.  ``standardize``
-rescales to unit mean, the form used by envelope and smoothness checks.
+both laws.  The private ``_age_cdf_ccdf`` returns the age cdf and the
+ccdf together, the value and slope of every Newton step in the package;
+Gamma (and Erlang), Weibull and Hyperexponential compute the two from
+shared work, Gamma with one incomplete-gamma call per point.  Quantiles
+without a closed form come from ``monotone_newton``, the package's one
+root finder: both cdfs are concave where it is used, so Newton from 0
+rises to the root with no bracket.  ``standardize`` rescales to unit
+mean, the form used by envelope and smoothness checks.
 """
 
 from __future__ import annotations
@@ -64,13 +68,15 @@ def _check_unit(u):
 _QUANTILE_RTOL = 2e-14
 
 
-def monotone_newton(f, fprime, x0: float, tol: float) -> tuple[float, float, int]:
+def monotone_newton(f_and_slope, x0: float, tol: float) -> tuple[float, float, int]:
     """Root of f by Newton's method from x0, returned as (x, |f(x)|, steps).
 
-    f must be increasing and concave on [x0, root] with f(x0) <= 0.  Then
-    each tangent lands between the iterate and the root, so the iterates
-    rise monotonically and no bracket is needed.  Iteration stops once
-    |f| <= tol.
+    ``f_and_slope(x)`` returns ``(f(x), f'(x))`` from one evaluation, so a
+    caller whose value and slope share their expensive part computes it
+    once per step.  f must be increasing and concave on [x0, root] with
+    f(x0) <= 0.  Then each tangent lands between the iterate and the root,
+    so the iterates rise monotonically and no bracket is needed.
+    Iteration stops once |f| <= tol.
 
     Raises
     ------
@@ -79,16 +85,17 @@ def monotone_newton(f, fprime, x0: float, tol: float) -> tuple[float, float, int
         |f| > tol: f is not concave there, x0 lies right of the root, or
         rounding in f outweighs the step before the target is met.
     """
-    x, fx, steps = float(x0), float(f(x0)), 0
+    x, steps = float(x0), 0
+    fx, d = f_and_slope(x)
     while not abs(fx) <= tol:  # a NaN residual goes on to fail the rise check
-        d = float(fprime(x))
         if not d > 0.0:
             raise NumericsError(f"Newton slope {d!r} at x={x!r} is not positive")
         x_new = x - fx / d
         if not x_new > x:
             raise NumericsError(f"Newton stalled at x={x!r} with residual {abs(fx):.3e} "
                                 f"above the target {tol:.3e}")
-        x, fx, steps = x_new, float(f(x_new)), steps + 1
+        x, steps = x_new, steps + 1
+        fx, d = f_and_slope(x)
     return x, abs(fx), steps
 
 
@@ -108,6 +115,10 @@ class InterRequestDistribution:
 
     def _age_cdf(self, t):
         raise NotImplementedError
+
+    def _age_cdf_ccdf(self, t):
+        """(age cdf, ccdf) at t; families whose two share work override it."""
+        return self._age_cdf(t), self._ccdf(t)
 
     @property
     def mean(self) -> float:
@@ -161,8 +172,12 @@ class InterRequestDistribution:
             if u is outside [0, 1); the age quantile is unbounded at u = 1.
         """
         _check_unit(u)
-        return monotone_newton(lambda t: self.age_cdf(t) - u, self.age_pdf, 0.0,
-                               _QUANTILE_RTOL * u)[0]
+
+        def f_and_slope(t):
+            age, ccdf = self._age_cdf_ccdf(np.asarray(t))
+            return float(age) - u, self.rate * float(ccdf)
+
+        return monotone_newton(f_and_slope, 0.0, _QUANTILE_RTOL * u)[0]
 
     def standardize(self) -> "InterRequestDistribution":
         """Rescale to unit mean: cdf of the result is G(t / rate_original)."""
@@ -254,8 +269,35 @@ class Gamma(InterRequestDistribution):
     def mean(self):
         return self.shape / self.rate_param
 
+    def _regularized(self, t):
+        """(x/k, P(k, x), Q(k, x), P(k+1, x)) at x = rate * t, with one
+        incomplete-gamma call per point.
+
+        With D = x^k e^-x / Gamma(k+1): below x = k + 1 the series for
+        P(k+1, x) converges fast and P(k, x) = P(k+1, x) + D, a sum of
+        positive terms; from k + 1 on, the continued fraction gives
+        Q(k, x) and Q(k+1, x) = Q(k, x) + D.  Each branch runs only on its
+        own points.
+        """
+        k = self.shape
+        x = self.rate_param * t
+        d = np.exp(sc.xlogy(k, x) - x - math.lgamma(k + 1.0))
+        p, q, p1 = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+        lo = x < k + 1.0
+        p1[lo] = sc.gammainc(k + 1.0, x[lo])
+        p[lo] = p1[lo] + d[lo]
+        q[lo] = 1.0 - p[lo]
+        hi = ~lo
+        q[hi] = sc.gammaincc(k, x[hi])
+        p[hi] = 1.0 - q[hi]
+        p1[hi] = 1.0 - (q[hi] + d[hi])
+        return x / k, p, q, p1
+
     def _cdf(self, t):
-        return sc.gammainc(self.shape, self.rate_param * t)
+        return self._regularized(t)[1]
+
+    def _ccdf(self, t):
+        return self._regularized(t)[2]
 
     def _pdf(self, t):
         x = self.rate_param * t
@@ -263,11 +305,13 @@ class Gamma(InterRequestDistribution):
             sc.xlogy(self.shape - 1.0, x) - x - sc.gammaln(self.shape))
 
     def _age_cdf(self, t):
+        return self._age_cdf_ccdf(t)[0]
+
+    def _age_cdf_ccdf(self, t):
         # integral of the ccdf via the partial-expectation identity:
         # int_0^t ccdf = t*ccdf(t) + E[X; X<=t],  E[X; X<=t] = mean * P(shape+1, rate*t)
-        x = self.rate_param * t
-        part = t * sc.gammaincc(self.shape, x) + self.mean * sc.gammainc(self.shape + 1.0, x)
-        return np.minimum(part / self.mean, 1.0)
+        xk, _, q, p1 = self._regularized(t)
+        return np.minimum(xk * q + p1, 1.0), q
 
     def quantile(self, u):
         _check_unit(u)
@@ -332,12 +376,15 @@ class Weibull(InterRequestDistribution):
         return (self.shape / self.scale) * np.power(z, self.shape - 1.0) * np.exp(-np.power(z, self.shape))
 
     def _age_cdf(self, t):
+        return self._age_cdf_ccdf(t)[0]
+
+    def _age_cdf_ccdf(self, t):
         # same partial-expectation identity; E[X; X<=t] reduces to a lower
-        # incomplete gamma in (t/scale)^shape
+        # incomplete gamma in (t/scale)^shape, and both share exp(-z)
         z = np.power(t / self.scale, self.shape)
-        a = 1.0 + 1.0 / self.shape
-        part = t * np.exp(-z) + self.mean * sc.gammainc(a, z)
-        return np.minimum(part / self.mean, 1.0)
+        ccdf = np.exp(-z)
+        part = t * ccdf + self.mean * sc.gammainc(1.0 + 1.0 / self.shape, z)
+        return np.minimum(part / self.mean, 1.0), ccdf
 
     def quantile(self, u):
         _check_unit(u)
@@ -396,15 +443,21 @@ class Hyperexponential(InterRequestDistribution):
                          np.exp(-np.multiply.outer(t, self._r)))
 
     def _age_cdf(self, t):
-        # age law is again hyperexponential with weights w_j/(r_j * mean)
+        return self._age_cdf_ccdf(t)[0]
+
+    def _age_cdf_ccdf(self, t):
+        # age law is again hyperexponential with weights w_j/(r_j * mean);
+        # both sums share the outer expm1
+        m = np.expm1(-np.multiply.outer(t, self._r))
         wa = self._w / self._r / self.mean
-        return -np.einsum("j,...j->...", wa, np.expm1(-np.multiply.outer(t, self._r)))
+        return (-np.einsum("j,...j->...", wa, m),
+                1.0 + np.einsum("j,...j->...", self._w, m))
 
     def quantile(self, u):
         # a mixture of exponentials has a concave cdf; the slope is _pdf,
         # since pdf(0) is 0 by convention
         _check_unit(u)
-        return monotone_newton(lambda t: self.cdf(t) - u, self._pdf, 0.0,
+        return monotone_newton(lambda t: (self.cdf(t) - u, float(self._pdf(t))), 0.0,
                                _QUANTILE_RTOL * u)[0]
 
     def _scaled(self, f):

@@ -34,7 +34,7 @@ def zipf_popularity(n: int, alpha: float) -> np.ndarray:
     if alpha < 0:
         raise ConfigError(f"alpha must be >= 0, got {alpha}")
     w = np.arange(1, n + 1, dtype=float) ** (-alpha)
-    return w / math.fsum(w)
+    return w / math.fsum(w.tolist())
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class DensityLaw:
         w = np.asarray(self.density(z), dtype=float)
         if np.any(w <= 0):
             raise ConfigError("density law produced a zero or negative popularity weight")
-        return w / math.fsum(w)
+        return w / math.fsum(w.tolist())
 
     def config(self):
         return {"density": self.density.config()}
@@ -105,7 +105,7 @@ class ContentCatalog:
                 raise ConfigError("class representatives must be standardized (unit mean)")
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "class_of", class_of)
-        total = float(math.fsum(rates))
+        total = math.fsum(rates.tolist())  # tolist: fsum over numpy scalars is slow
         object.__setattr__(self, "_total_rate", total)
         pop = rates / total
         object.__setattr__(self, "_popularity", pop)

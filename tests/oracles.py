@@ -97,3 +97,28 @@ def midpoint_power_hit_integral(coefficient, exponent, psi_cdf, nu, points=10_00
     u = (np.arange(points, dtype=float) + 0.5) / points
     vals = psi_cdf(nu * coefficient * u ** (-q)) * coefficient / (1.0 - a)
     return float(np.mean(vals))
+
+
+def gamma_laws_mp(k, x, dps=40):
+    """(cdf, ccdf, age cdf) of the unit-rate Gamma(k) law at x, from
+    mpmath's regularized incomplete gamma at dps digits.
+
+    The cdf and ccdf are P(k, x) and Q(k, x), each computed directly, so
+    the tail gets no 1 - P cancellation.  The age cdf is the stationary
+    law of the time since the last request, rate * E[min(X, x)], with
+    rate = 1/k and E[min(X, x)] = x Q(k, x) + k P(k+1, x).
+    """
+    import mpmath as mp
+    with mp.workdps(dps):
+        k, x = mp.mpf(k), mp.mpf(x)
+        P = mp.gammainc(k, 0, x, regularized=True)
+        Q = mp.gammainc(k, x, mp.inf, regularized=True)
+        P1 = mp.gammainc(k + 1, 0, x, regularized=True)
+        return float(P), float(Q), float((x * Q + k * P1) / k)
+
+
+def midpoint_density_integral(density, phi, points=1_000_000):
+    """Midpoint rule for integral_0^1 phi(f(x)) dx on a uniform grid in x,
+    with no substitution: fine for bounded densities (constant, tabulated)."""
+    x = (np.arange(points, dtype=float) + 0.5) / points
+    return float(np.mean(phi(np.asarray(density(x), dtype=float))))

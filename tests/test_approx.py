@@ -4,8 +4,10 @@ import time
 import numpy as np
 import pytest
 
-from ttlapprox.approx import (characteristic_time, concentration_curve,
-                              expected_occupancy, miss_probability,
+from scipy import special
+
+from ttlapprox.approx import (_occupancy_and_slope, characteristic_time,
+                              concentration_curve, expected_occupancy, miss_probability,
                               occupancy_derivative, tn_bracket, ttl_hit)
 from ttlapprox.distributions import (Exponential, Gamma, Hyperexponential, MaxEnvelope,
                                      ParetoLomax, Weibull)
@@ -78,6 +80,54 @@ class TestOccupancy:
         assert np.all(np.diff(K) >= -1e-12)
         assert np.all(np.diff(Kp) <= 1e-9 * cat.total_rate)  # K' nonincreasing
         assert K[-1] == pytest.approx(cat.n, rel=1e-3)
+
+
+class TestFusedOccupancy:
+    """K and K' come from one pass over the classes."""
+
+    def test_against_per_content_mpmath_sums(self):
+        mp = pytest.importorskip("mpmath")
+        gamma, weib = Gamma(0.5, 1.0), Weibull(0.7, 1.0)
+        hyp = Hyperexponential((0.9, 0.1), (1.0, 0.1))
+        cat = build_catalog(ZipfLaw(0.8), 90, 90.0, [(1 / 3, gamma), (1 / 3, weib),
+                                                     (1 / 3, hyp)])
+        k, s = cat.classes[1].shape, cat.classes[1].scale  # standardized Weibull
+        w, r = cat.classes[2].weights, cat.classes[2].rates  # standardized mixture
+
+        def content(c, t):
+            """(age cdf, ccdf) of a unit-mean class law at t, at 40 digits."""
+            if c == 0:  # Gamma(1/2, 1/2): x = t / 2
+                x = t / 2
+                Q = mp.gammainc(0.5, x, mp.inf, regularized=True)
+                return 2 * x * Q + mp.gammainc(1.5, 0, x, regularized=True), Q
+            if c == 1:  # mean 1: age = t e^-z + P(1 + 1/k, z)
+                z = (t / s) ** k
+                return t * mp.e ** -z + mp.gammainc(1 + 1 / mp.mpf(k), 0, z,
+                                                    regularized=True), mp.e ** -z
+            return (mp.fsum(wj / rj * -mp.expm1(-rj * t) for wj, rj in zip(w, r)),
+                    mp.fsum(wj * mp.e ** (-rj * t) for wj, rj in zip(w, r)))
+
+        with mp.workdps(40):
+            for T in (0.05, 1.0, 30.0):
+                pairs = [content(int(c), mp.mpf(float(rate)) * T)
+                         for rate, c in zip(cat.rates, cat.class_of)]
+                K = mp.fsum(a for a, _ in pairs)
+                Kp = mp.fsum(mp.mpf(float(rate)) * q for rate, (_, q) in zip(cat.rates, pairs))
+                got = _occupancy_and_slope(cat, T)
+                assert got[0] == pytest.approx(float(K), rel=1e-13)
+                assert got[1] == pytest.approx(float(Kp), rel=1e-13)
+                assert got == (expected_occupancy(cat, T), occupancy_derivative(cat, T))
+
+    def test_gamma_half_at_a_million_contents(self):
+        # the n = 1e6 edge regime; the residual is checked with a K written
+        # from scipy's incomplete gammas, independent of the fused kernel
+        n, C, rtol = 10**6, 3e5, 1e-9
+        cat = build_catalog(ZipfLaw(0.8), n, float(n), Gamma(0.5, 1.0))
+        res = characteristic_time(cat, C, rtol=rtol)
+        x = 0.5 * cat.rates * res.t
+        K = math.fsum((2.0 * x * special.gammaincc(0.5, x)
+                       + special.gammainc(1.5, x)).tolist())
+        assert abs(K - C) <= rtol * C
 
 
 class TestBracket:

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from ttlapprox.approx import characteristic_time
-from ttlapprox.asymptotics import (AsymptoticModel, ModelClass, beta_fn, fagin_catalog,
-                                   hit_limit, hit_limit_by_class, rate_curve, solve_nu0,
-                                   tn_asymptotic, zipf_gn)
+from ttlapprox.asymptotics import (_QUAD_ATOL, AsymptoticModel, ModelClass, _class_integral,
+                                   beta_fn, fagin_catalog, hit_limit, hit_limit_by_class,
+                                   rate_curve, solve_nu0, tn_asymptotic, zipf_gn)
 from ttlapprox.densities import ConstantDensity, PowerLawDensity, TabulatedDensity
 from ttlapprox.distributions import Exponential, Gamma
-from ttlapprox.errors import ConfigError
+from ttlapprox.errors import ConfigError, QuadratureError
 from ttlapprox.popularity import ZipfLaw, build_catalog
 
-from oracles import midpoint_power_hit_integral, midpoint_power_integral
+from oracles import (midpoint_density_integral, midpoint_power_hit_integral,
+                     midpoint_power_integral)
 
 UNIFORM_POISSON = AsymptoticModel(
     (ModelClass(1.0, ConstantDensity(1.0), Exponential(1.0)),), 0.5)
@@ -116,6 +117,61 @@ class TestHitLimit:
         assert hit_limit(doubled, nu0) == hit_limit(ZIPF_LIMIT, nu0)
         contr = hit_limit_by_class(doubled, nu0)
         assert contr[0] == contr[1]
+
+
+GAMMA_PSI = Gamma(0.5, 0.5)  # unit mean
+
+
+def _beta_pair(nu):
+    """The solve's two-component integrand: age cdf and f * ccdf at nu * f."""
+    return lambda fv: np.stack((GAMMA_PSI.age_cdf(nu * fv), fv * GAMMA_PSI.ccdf(nu * fv)))
+
+
+class TestVectorizedQuadrature:
+    """The adaptive Gauss rule against independent midpoint sums."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.8, 0.95])
+    @pytest.mark.parametrize("nu", [0.05, 20.0])
+    def test_power_law_against_midpoint_oracle(self, alpha, nu):
+        # the midpoint error at 1e6 points is at most 3.2e-12 on this grid
+        # (it falls 4x when the points double); the rule's tolerance is 1e-11
+        cls = ModelClass(1.0, PowerLawDensity(1.0 - alpha, alpha), GAMMA_PSI)
+        got = _class_integral(cls, _beta_pair(nu))
+        ref = [midpoint_power_integral(1.0 - alpha, alpha, lambda v: GAMMA_PSI.age_cdf(nu * v),
+                                       points=10**6),
+               midpoint_power_integral(1.0 - alpha, alpha,
+                                       lambda v: v * GAMMA_PSI.ccdf(nu * v), points=10**6)]
+        assert got.shape == (2,)
+        assert got == pytest.approx(ref, abs=_QUAD_ATOL / 10)
+
+    @pytest.mark.parametrize("density", [
+        ConstantDensity(1.0),
+        TabulatedDensity(tuple(1.0 + 0.5 * np.sin(np.linspace(0.0, 3.0, 64))))], ids=repr)
+    def test_tables_against_midpoint_oracle(self, density):
+        # 1000 midpoints per table cell: the oracle sums the same values
+        cls = ModelClass(1.0, density, GAMMA_PSI)
+        got = _class_integral(cls, _beta_pair(0.7))
+        ref = [midpoint_density_integral(density, lambda v: GAMMA_PSI.age_cdf(0.7 * v), 64_000),
+               midpoint_density_integral(density, lambda v: v * GAMMA_PSI.ccdf(0.7 * v), 64_000)]
+        assert got == pytest.approx(ref, abs=1e-14)
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.8])
+    def test_two_components_equal_the_single_integrals(self, alpha):
+        # the pair refines where either component needs it, so the sums
+        # differ only within the rule's tolerance (1.3e-12 at alpha = 0.2)
+        cls = ModelClass(1.0, PowerLawDensity(1.0 - alpha, alpha), GAMMA_PSI)
+        pair = _class_integral(cls, _beta_pair(1.3))
+        single = [_class_integral(cls, lambda fv: GAMMA_PSI.age_cdf(1.3 * fv)),
+                  _class_integral(cls, lambda fv: fv * GAMMA_PSI.ccdf(1.3 * fv))]
+        assert single[0].shape == single[1].shape == ()
+        assert pair == pytest.approx(single, abs=_QUAD_ATOL / 10)
+
+    @pytest.mark.parametrize("density", [PowerLawDensity(0.2, 0.8), ConstantDensity(1.0),
+                                         TabulatedDensity((0.5, 1.5))], ids=repr)
+    def test_nan_integrand_raises(self, density):
+        cls = ModelClass(1.0, density, GAMMA_PSI)
+        with pytest.raises(QuadratureError, match="not finite"):
+            _class_integral(cls, lambda fv: np.where(fv > 0.9, np.nan, fv))
 
 
 class TestModelValidation:

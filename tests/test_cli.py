@@ -2,6 +2,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ttlapprox import cli
@@ -131,3 +132,12 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli.approx, "characteristic_time", boom)
         assert cli.main(["--config", write_config(tmp_path), "solve-ct"]) == 3
+
+    def test_nan_limit_integrand_is_3(self, tmp_path, monkeypatch, capsys):
+        # the limit quadrature raises on a NaN integrand; it never returns NaN
+        def nan_kernel(self, t):
+            return np.full_like(t, np.nan), np.full_like(t, np.nan)
+
+        monkeypatch.setattr(Exponential, "_age_cdf_ccdf", nan_kernel)
+        assert cli.main(["--config", write_config(tmp_path), "limit"]) == 3
+        assert "not finite" in capsys.readouterr().err

@@ -9,7 +9,7 @@ from ttlapprox.distributions import (Erlang, Exponential, Gamma, Hyperexponentia
                                      check_smoothness, distribution_from_config)
 from ttlapprox.errors import ConfigError
 
-from oracles import trapezoid_age_cdf
+from oracles import gamma_laws_mp, trapezoid_age_cdf
 
 ALL_FAMILIES = [
     Exponential(1.3),
@@ -90,6 +90,53 @@ class TestAgeCdf:
         fd = (d.age_cdf(ts + h) - d.age_cdf(ts - h)) / (2.0 * h)
         target = d.rate * d.ccdf(ts)
         assert np.all(np.abs(fd - target) <= 1e-6 * target)
+
+
+# shapes of the Gamma kernel check, from near 0 to far above the scipy
+# asymptotic-series threshold; Erlang shares the kernel at integer shapes
+KERNEL_LAWS = ([Gamma(k, 2.0) for k in (0.05, 0.3, 0.5, 1.0, 2.5, 7.0, 30.0)]
+               + [Erlang(1, 2.0), Erlang(7, 2.0)])
+
+
+def _kernel_grid(k):
+    """x from 1e-12 into the deep tail, densely over 0.4 <= x <= 1.2 (where
+    scipy's gammaincc(0.5, x) takes its slow series) and around the kernel's
+    branch switch at x = k + 1."""
+    return np.unique(np.concatenate([
+        np.geomspace(1e-12, 200.0 * max(k, 1.0), 100),
+        np.linspace(0.4, 1.2, 33),
+        (k + 1.0) * np.linspace(0.98, 1.02, 21),
+        [np.nextafter(k + 1.0, 0.0), k + 1.0]]))
+
+
+class TestGammaKernel:
+    """cdf, ccdf, age cdf and age density of Gamma/Erlang against mpmath at
+    40 digits.  The ccdf is checked relative to its own size wherever it
+    exceeds 1e-300, so a tail computed as 1 - cdf fails."""
+
+    @staticmethod
+    def _rel(got, ref, where):
+        return float(np.max(np.abs(got - ref)[where] / ref[where]))
+
+    @pytest.mark.parametrize("d", KERNEL_LAWS, ids=repr)
+    def test_against_mpmath(self, d):
+        x = _kernel_grid(d.shape)
+        t = x / d.rate_param  # exact: the rate is a power of 2
+        P, Q, A = np.array([gamma_laws_mp(d.shape, v) for v in x]).T
+        body, tail = P > 1e-300, Q > 1e-300
+        assert self._rel(d.age_cdf(t), A, A > 0) <= 1e-13
+        assert self._rel(d.ccdf(t), Q, tail) <= 1e-12
+        assert self._rel(d.age_pdf(t), Q * d.rate, tail) <= 1e-12
+        assert self._rel(d.cdf(t), P, body) <= 1e-12
+
+
+class TestFusedKernel:
+    @pytest.mark.parametrize("d", AGE_SAMPLED, ids=repr)
+    def test_age_cdf_ccdf_equals_the_two_kernels(self, d):
+        t = np.concatenate([[0.0], np.geomspace(1e-9, 1e3, 200) * d.mean])
+        age, ccdf = d._age_cdf_ccdf(t)
+        assert np.array_equal(age, d.age_cdf(t))
+        assert np.array_equal(ccdf, d.ccdf(t))
 
 
 class TestQuantiles:

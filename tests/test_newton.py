@@ -40,7 +40,7 @@ class TestMonotoneNewton:
         f, fprime, root = CONCAVE[kind](c)
         g, xs = _recorded(f)
         tol = 1e-15 * max(c, 1.0)
-        x, residual, steps = monotone_newton(g, fprime, 0.0, tol)
+        x, residual, steps = monotone_newton(lambda x: (g(x), fprime(x)), 0.0, tol)
         assert residual == abs(f(x)) <= tol
         assert abs(x - root) <= 2.0 * tol / fprime(root) + 4e-16 * root
         assert steps == len(xs) - 1
@@ -48,32 +48,32 @@ class TestMonotoneNewton:
         assert all(v <= root * (1.0 + 4e-16) for v in xs)
 
     def test_root_at_start_takes_no_step(self):
-        assert monotone_newton(lambda x: x - 2.0, lambda x: 1.0, 2.0, 0.0) == (2.0, 0.0, 0)
+        assert monotone_newton(lambda x: (x - 2.0, 1.0), 2.0, 0.0) == (2.0, 0.0, 0)
 
     @pytest.mark.parametrize("slope", [0.0, -1.0, math.nan])
     def test_slope_not_positive_raises(self, slope):
         with pytest.raises(NumericsError, match="slope"):
-            monotone_newton(lambda x: x - 1.0, lambda x: slope, 0.0, 1e-12)
+            monotone_newton(lambda x: (x - 1.0, slope), 0.0, 1e-12)
 
     def test_nan_residual_raises(self):
         with pytest.raises(NumericsError, match="stalled"):
-            monotone_newton(lambda x: math.nan, lambda x: 1.0, 0.0, 1e-12)
+            monotone_newton(lambda x: (math.nan, 1.0), 0.0, 1e-12)
 
     def test_start_right_of_root_is_a_stall(self):
         f, fprime, _ = CONCAVE["log1p"](1.0)
         with pytest.raises(NumericsError, match="stalled"):
-            monotone_newton(f, fprime, 10.0, 1e-12)
+            monotone_newton(lambda x: (f(x), fprime(x)), 10.0, 1e-12)
 
     def test_convex_overshoot_is_a_stall(self):
         # x^3 - 1 is convex: the tangent from 0.5 lands right of the root at 1
         with pytest.raises(NumericsError, match="stalled"):
-            monotone_newton(lambda x: x ** 3 - 1.0, lambda x: 3.0 * x * x, 0.5, 1e-12)
+            monotone_newton(lambda x: (x ** 3 - 1.0, 3.0 * x * x), 0.5, 1e-12)
 
     def test_noise_above_the_target_is_a_stall(self):
         # noise of amplitude 1e-3 in f: the iterate stops rising long before |f| <= 1e-9
         with pytest.raises(NumericsError, match="stalled"):
-            monotone_newton(lambda x: math.log1p(x) - 1.0 + 1e-3 * math.sin(1e9 * x),
-                            lambda x: 1.0 / (1.0 + x), 0.0, 1e-9)
+            monotone_newton(lambda x: (math.log1p(x) - 1.0 + 1e-3 * math.sin(1e9 * x),
+                                       1.0 / (1.0 + x)), 0.0, 1e-9)
 
     def test_hyperexponential_slope_is_the_density_at_zero(self):
         # pdf(0) is 0 by convention, so the first Newton slope must come from _pdf

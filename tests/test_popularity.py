@@ -26,6 +26,22 @@ class TestZipf:
         assert np.all(np.diff(p) <= 0)
 
 
+class TestExactSums:
+    def test_list_fsum_equals_numpy_scalar_fsum(self):
+        # math.fsum over a list gives the same exactly rounded sum as over
+        # the array's numpy scalars, only faster
+        rng = np.random.default_rng(11)
+        n = int(rng.integers(1000, 5000))
+        rates = rng.lognormal(0.0, 3.0, n)
+        cat = ContentCatalog(rates=rates, classes=(Exponential(1.0),),
+                             class_of=np.zeros(n, dtype=np.int64))
+        assert cat.total_rate == math.fsum(rates)
+        assert np.array_equal(cat.popularity, rates / math.fsum(rates))
+        alpha = float(rng.uniform(0.0, 2.0))
+        w = np.arange(1, n + 1, dtype=float) ** (-alpha)
+        assert np.array_equal(zipf_popularity(n, alpha), w / math.fsum(w))
+
+
 class TestTail:
     def test_small_zipf(self):
         cat = build_catalog(ZipfLaw(1.0), 3, 1.0, Exponential(1.0))
