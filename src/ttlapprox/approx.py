@@ -42,7 +42,8 @@ def _occupancy_and_slope(catalog: ContentCatalog, T: float) -> tuple[float, floa
     k, slope = [], []
     # scale-family identity: the age cdf (ccdf) of content i at T is the
     # class age cdf (ccdf) at rate_i*T
-    for dist, rates in catalog.class_rate_groups():
+    for dist, idx in catalog.groups:
+        rates = catalog.rates[idx]
         age, ccdf = dist._age_cdf_ccdf(rates * T)
         k.append(float(np.sum(age)))
         slope.append(float(np.sum(rates * ccdf)))
@@ -144,9 +145,8 @@ def ttl_hit(catalog: ContentCatalog, T: float) -> TtlHit:
     if T < 0:
         raise ConfigError(f"T must be >= 0, got {T}")
     per = np.empty(catalog.n)
-    for c, dist in enumerate(catalog.classes):
-        mask = catalog.class_of == c
-        per[mask] = dist.cdf(catalog.rates[mask] * T)
+    for dist, idx in catalog.groups:
+        per[idx] = dist.cdf(catalog.rates[idx] * T)
     aggregate = float(np.dot(catalog.popularity, per))
     return TtlHit(per_content=per, aggregate=aggregate, timer=T)
 

@@ -11,14 +11,16 @@ distribution
 
 which is the stationary distribution of the time since (equivalently,
 until) the last (next) request, plus quantiles and seeded samplers for
-both laws.  The private ``_age_cdf_ccdf`` returns the age cdf and the
-ccdf together, the value and slope of every Newton step in the package;
-Gamma (and Erlang), Weibull and Hyperexponential compute the two from
-shared work, Gamma with one incomplete-gamma call per point.  Quantiles
-without a closed form come from ``monotone_newton``, the package's one
-root finder: both cdfs are concave where it is used, so Newton from 0
-rises to the root with no bracket.  ``standardize`` rescales to unit
-mean, the form used by envelope and smoothness checks.
+both laws.  Each family defines four kernels on 0 < t < inf, each exact
+in its own tail: ``_cdf``, ``_ccdf``, ``_pdf`` and ``_age_cdf_ccdf``, the
+age cdf and the ccdf together, the value and slope of every Newton step
+in the package (Gamma and Erlang take both from one incomplete-gamma call
+per point).  The base class takes the limits at t <= 0 and t = inf in one
+place, so no kernel sees a point outside its domain.  Quantiles without
+a closed form come from ``monotone_newton``, the package's one root
+finder: both cdfs are concave where it is used, so Newton from 0 rises to
+the root with no bracket.  ``standardize`` rescales to unit mean, the
+form used by envelope and smoothness checks.
 """
 
 from __future__ import annotations
@@ -56,6 +58,16 @@ def _as_array(t):
 
 def _ret(a, scalar):
     return float(a) if scalar else a
+
+
+def _on_support(kernel, t, at_zero, at_inf):
+    """kernel(t) where 0 < t < inf; the limit at_zero at t <= 0 and at_inf
+    at t = inf.  The kernel sees 1.0 in place of every point outside its
+    domain, so it never evaluates one."""
+    a, scalar = _as_array(t)
+    inside = (a > 0.0) & (a < np.inf)
+    out = np.where(inside, kernel(np.where(inside, a, 1.0)), np.where(a > 0.0, at_inf, at_zero))
+    return _ret(out, scalar)
 
 
 def _check_unit(u):
@@ -100,25 +112,22 @@ def monotone_newton(f_and_slope, x0: float, tol: float) -> tuple[float, float, i
 
 
 class InterRequestDistribution:
-    """Base class; concrete families implement cdf/pdf/age_cdf closed forms."""
+    """Base class; families define the four kernels, exact on 0 < t < inf."""
 
-    # --- family-specific primitives -------------------------------------
+    # --- family kernels, on 0 < t < inf -----------------------------------
 
-    def _cdf(self, t):  # t: nonnegative ndarray
+    def _cdf(self, t):
         raise NotImplementedError
 
-    def _ccdf(self, t):  # overridden where 1 - cdf rounds to 0 in the tail
-        return 1.0 - self._cdf(t)
+    def _ccdf(self, t):
+        raise NotImplementedError
 
     def _pdf(self, t):
         raise NotImplementedError
 
-    def _age_cdf(self, t):
-        raise NotImplementedError
-
     def _age_cdf_ccdf(self, t):
-        """(age cdf, ccdf) at t; families whose two share work override it."""
-        return self._age_cdf(t), self._ccdf(t)
+        """(age cdf, ccdf) at t, from the work the two share."""
+        raise NotImplementedError
 
     @property
     def mean(self) -> float:
@@ -135,32 +144,22 @@ class InterRequestDistribution:
         return 1.0 / self.mean
 
     def cdf(self, t):
-        """P[inter-request time <= t]; zero for t < 0 by convention."""
-        a, scalar = _as_array(t)
-        out = np.where(a > 0, self._cdf(np.maximum(a, 0.0)), 0.0)
-        return _ret(out, scalar)
+        """P[inter-request time <= t]; zero for t <= 0."""
+        return _on_support(self._cdf, t, 0.0, 1.0)
 
     def ccdf(self, t):
-        a, scalar = _as_array(t)
-        out = np.where(a > 0, self._ccdf(np.maximum(a, 0.0)), 1.0)
-        return _ret(out, scalar)
+        return _on_support(self._ccdf, t, 1.0, 0.0)
 
     def pdf(self, t):
-        a, scalar = _as_array(t)
-        mask = a > 0
-        out = np.where(mask, self._pdf(np.where(mask, a, 1.0)), 0.0)
-        return _ret(out, scalar)
+        return _on_support(self._pdf, t, 0.0, 0.0)
 
     def age_cdf(self, t):
         """Integrated-tail cdf: rate * integral_0^t ccdf(z) dz."""
-        a, scalar = _as_array(t)
-        out = np.where(a > 0, self._age_cdf(np.maximum(a, 0.0)), 0.0)
-        return _ret(out, scalar)
+        return _on_support(lambda s: self._age_cdf_ccdf(s)[0], t, 0.0, 1.0)
 
     def age_pdf(self, t):
         a, scalar = _as_array(t)
-        out = self.rate * np.where(a > 0, self._ccdf(np.maximum(a, 0.0)), 1.0)
-        return _ret(np.where(a < 0, 0.0, out), scalar)
+        return _ret(np.where(a < 0, 0.0, self.rate * self.ccdf(a)), scalar)
 
     def age_quantile(self, u: float) -> float:
         """Inverse of age_cdf, by monotone Newton from 0: the age cdf is
@@ -189,9 +188,6 @@ class InterRequestDistribution:
         return self._scaled(m / self.mean)
 
     # --- sampling ----------------------------------------------------------
-
-    def sample_inter(self, rng: np.random.Generator) -> float:
-        return float(self.sample_inter_batch(rng, 1)[0])
 
     def sample_inter_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
@@ -229,12 +225,15 @@ class Exponential(InterRequestDistribution):
     def _cdf(self, t):
         return -np.expm1(-self.rate_param * t)
 
+    def _ccdf(self, t):
+        return np.exp(-self.rate_param * t)
+
     def _pdf(self, t):
         return self.rate_param * np.exp(-self.rate_param * t)
 
-    def _age_cdf(self, t):
+    def _age_cdf_ccdf(self, t):
         # memoryless: the age distribution coincides with the cdf
-        return -np.expm1(-self.rate_param * t)
+        return self._cdf(t), self._ccdf(t)
 
     def quantile(self, u):
         _check_unit(u)
@@ -304,9 +303,6 @@ class Gamma(InterRequestDistribution):
         return self.rate_param * np.exp(
             sc.xlogy(self.shape - 1.0, x) - x - sc.gammaln(self.shape))
 
-    def _age_cdf(self, t):
-        return self._age_cdf_ccdf(t)[0]
-
     def _age_cdf_ccdf(self, t):
         # integral of the ccdf via the partial-expectation identity:
         # int_0^t ccdf = t*ccdf(t) + E[X; X<=t],  E[X; X<=t] = mean * P(shape+1, rate*t)
@@ -375,9 +371,6 @@ class Weibull(InterRequestDistribution):
         z = t / self.scale
         return (self.shape / self.scale) * np.power(z, self.shape - 1.0) * np.exp(-np.power(z, self.shape))
 
-    def _age_cdf(self, t):
-        return self._age_cdf_ccdf(t)[0]
-
     def _age_cdf_ccdf(self, t):
         # same partial-expectation identity; E[X; X<=t] reduces to a lower
         # incomplete gamma in (t/scale)^shape, and both share exp(-z)
@@ -442,16 +435,16 @@ class Hyperexponential(InterRequestDistribution):
         return np.einsum("j,...j->...", self._w * self._r,
                          np.exp(-np.multiply.outer(t, self._r)))
 
-    def _age_cdf(self, t):
-        return self._age_cdf_ccdf(t)[0]
+    def _ccdf(self, t):
+        return np.einsum("j,...j->...", self._w, np.exp(-np.multiply.outer(t, self._r)))
 
     def _age_cdf_ccdf(self, t):
         # age law is again hyperexponential with weights w_j/(r_j * mean);
-        # both sums share the outer expm1
-        m = np.expm1(-np.multiply.outer(t, self._r))
+        # both sums share the outer product
+        x = -np.multiply.outer(t, self._r)
         wa = self._w / self._r / self.mean
-        return (-np.einsum("j,...j->...", wa, m),
-                1.0 + np.einsum("j,...j->...", self._w, m))
+        return (-np.einsum("j,...j->...", wa, np.expm1(x)),
+                np.einsum("j,...j->...", self._w, np.exp(x)))
 
     def quantile(self, u):
         # a mixture of exponentials has a concave cdf; the slope is _pdf,
@@ -506,9 +499,9 @@ class ParetoLomax(InterRequestDistribution):
     def _pdf(self, t):
         return (self.shape / self.scale) * np.exp(-(self.shape + 1.0) * np.log1p(t / self.scale))
 
-    def _age_cdf(self, t):
+    def _age_cdf_ccdf(self, t):
         # the age law is again Lomax with shape-1
-        return -np.expm1(-(self.shape - 1.0) * np.log1p(t / self.scale))
+        return -np.expm1(-(self.shape - 1.0) * np.log1p(t / self.scale)), self._ccdf(t)
 
     def quantile(self, u):
         _check_unit(u)
@@ -559,6 +552,11 @@ def distribution_from_config(spec: dict) -> InterRequestDistribution:
         raise ConfigError(f"bad parameters for family {family!r}: {params!r}") from exc
 
 
+_ENVELOPE_AGE_POINTS = 4096  # points of the MaxEnvelope age-cdf table
+_ENVELOPE_GRID = (1e-6, 1e3, 1000)  # check_envelope's log t grid (lo, hi, points)
+_ENVELOPE_TOL = 1e-9  # the margin check_envelope forgives
+
+
 class MaxEnvelope:
     """Pointwise maximum of the standardized cdfs of several families.
 
@@ -568,11 +566,10 @@ class MaxEnvelope:
     and its mean is at most 1.
     """
 
-    def __init__(self, members, grid_points: int = 4096):
+    def __init__(self, members):
         if not members:
             raise ConfigError("MaxEnvelope needs at least one member distribution")
         self.members = tuple(m.standardize() for m in members)
-        self._grid_points = grid_points
         self._mean = None
         self._age_grid = None
 
@@ -602,7 +599,7 @@ class MaxEnvelope:
             hi = 1.0
             while self.ccdf(hi) > 1e-13 and hi < 1e12:
                 hi *= 2.0
-            grid = np.concatenate([[0.0], np.geomspace(1e-9, hi, self._grid_points)])
+            grid = np.concatenate([[0.0], np.geomspace(1e-9, hi, _ENVELOPE_AGE_POINTS)])
             cc = self.ccdf(grid)
             cum = integrate.cumulative_trapezoid(cc, grid, initial=0.0) / self.mean
             self._age_grid = (grid, np.minimum(cum, 1.0))
@@ -633,17 +630,13 @@ class EnvelopeReport:
     holds: bool
 
 
-def _default_envelope_grid():
-    return np.geomspace(1e-6, 1e3, 1000)
-
-
-def check_envelope(family, psi, grid=None, tol: float = 1e-9) -> EnvelopeReport:
+def check_envelope(family, psi) -> EnvelopeReport:
     """Check that psi's ccdf lower-bounds every standardized member ccdf.
 
     ``psi`` may be any object with ``ccdf`` and ``mean`` (a parametric
     distribution or a MaxEnvelope).  The check evaluates
-    ``min_i ccdf*_i(t) - psi.ccdf(t)`` on the grid; it holds when the
-    minimum margin is >= -tol.
+    ``min_i ccdf*_i(t) - psi.ccdf(t)`` on a log grid of t; it holds when
+    the minimum margin is >= -_ENVELOPE_TOL.
 
     Raises
     ------
@@ -651,22 +644,16 @@ def check_envelope(family, psi, grid=None, tol: float = 1e-9) -> EnvelopeReport:
         if psi's mean lies outside (0, 1]; a valid envelope of unit-mean
         cdfs can never have mean above 1.
     """
-    if grid is None:
-        grid = _default_envelope_grid()
-    elif isinstance(grid, tuple):
-        lo, hi, num = grid
-        grid = np.geomspace(lo, hi, int(num))
-    else:
-        grid = np.asarray(grid, dtype=float)
+    grid = np.geomspace(*_ENVELOPE_GRID)
     m_psi = float(psi.mean)
-    if not 0.0 < m_psi <= 1.0 + tol:
+    if not 0.0 < m_psi <= 1.0 + _ENVELOPE_TOL:
         raise ConfigError(f"invalid envelope: mean {m_psi!r} outside (0, 1]")
     std = [d.standardize() for d in family]
     member_ccdf = np.minimum.reduce([d.ccdf(grid) for d in std])
     margin = member_ccdf - psi.ccdf(grid)
     min_margin = float(margin.min())
     return EnvelopeReport(psi=psi, m_psi=m_psi, grid=grid,
-                          min_margin=min_margin, holds=bool(min_margin >= -tol))
+                          min_margin=min_margin, holds=bool(min_margin >= -_ENVELOPE_TOL))
 
 
 @dataclass(frozen=True)
@@ -703,14 +690,17 @@ def _sup_t_pdf(d) -> float:
     return float(max(vals[k], -res.fun))
 
 
-def check_smoothness(family, rho: float, t_grid=None, x_points: int = 40) -> SmoothnessReport:
+_SMOOTHNESS_T_GRID = (1e-4, 1e3, 400)  # check_smoothness's log t grid (lo, hi, points)
+_SMOOTHNESS_X_POINTS = 40  # relative steps x in (0, rho]
+
+
+def check_smoothness(family, rho: float) -> SmoothnessReport:
     """Estimate the relative-Lipschitz constants of the standardized family."""
     if not 0.0 < rho <= 1.0:
         raise ConfigError(f"rho must be in (0, 1], got {rho}")
     std = [d.standardize() for d in family]
-    if t_grid is None:
-        t_grid = np.geomspace(1e-4, 1e3, 400)
-    xs = np.linspace(rho / x_points, rho, x_points)
+    t_grid = np.geomspace(*_SMOOTHNESS_T_GRID)
+    xs = np.linspace(rho / _SMOOTHNESS_X_POINTS, rho, _SMOOTHNESS_X_POINTS)
     B = 0.0
     for d in std:
         base = d.cdf(t_grid)

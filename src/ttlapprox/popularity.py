@@ -83,6 +83,7 @@ class ContentCatalog:
     ``classes`` holds one standardized (unit-mean) distribution per class;
     ``class_of[i]`` maps content i to its class; the distribution of
     content i is the class representative rescaled to mean 1/rates[i].
+    ``groups`` pairs each class with the indices of its contents.
     """
 
     rates: np.ndarray = field(repr=False)
@@ -112,6 +113,8 @@ class ContentCatalog:
         order = np.argsort(-pop, kind="stable")
         object.__setattr__(self, "_sorted_order", order)
         object.__setattr__(self, "_tail", _suffix_tail(pop[order]))
+        object.__setattr__(self, "_groups", tuple(
+            (dist, np.flatnonzero(class_of == c)) for c, dist in enumerate(self.classes)))
 
     @property
     def n(self) -> int:
@@ -136,10 +139,11 @@ class ContentCatalog:
             raise ConfigError(f"tail index {i} out of range [0, {self.n}]")
         return float(self._tail[i])
 
-    def class_rate_groups(self):
-        """Yield (standardized class distribution, rates of its contents)."""
-        for c, dist in enumerate(self.classes):
-            yield dist, self.rates[self.class_of == c]
+    @property
+    def groups(self) -> tuple:
+        """(standardized class distribution, indices of its contents) per
+        class, the indices in increasing order."""
+        return self._groups
 
 
 def build_catalog(law, n: int, total_rate: float, family_assignment) -> ContentCatalog:

@@ -167,12 +167,6 @@ def _replication_rng(seed: int, replication: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _by_class(catalog: ContentCatalog):
-    """Yield (standardized class distribution, indices of its contents)."""
-    for c, dist in enumerate(catalog.classes):
-        yield dist, np.flatnonzero(catalog.class_of == c)
-
-
 def init_stationary(catalog: ContentCatalog, seed: int, replication: int = 0):
     """Streams of all contents started in the stationary regime.
 
@@ -184,7 +178,7 @@ def init_stationary(catalog: ContentCatalog, seed: int, replication: int = 0):
     """
     rng = _replication_rng(seed, replication)
     arrivals = np.empty(catalog.n)
-    for dist, idx in _by_class(catalog):
+    for dist, idx in catalog.groups:
         arrivals[idx] = dist.sample_age_batch(rng, idx.size) / catalog.rates[idx]
     return arrivals, rng
 
@@ -300,7 +294,6 @@ def _simulate(config: SimulationConfig, replication: int, trace=None):
     n = catalog.n
     nxt, rng = init_stationary(catalog, config.seed, replication)
     last = np.full(n, -np.inf)
-    groups = list(_by_class(catalog))
     width = _WINDOW_EVENTS / catalog.total_rate
     warm_ev, warm_t = _resolve_warmup(config)
     is_lru = isinstance(policy, LRU)
@@ -316,7 +309,7 @@ def _simulate(config: SimulationConfig, replication: int, trace=None):
     while not final:
         window += 1
         t1 = window * width
-        times, ids, prev = _window_requests(catalog.rates, groups, nxt, last, rng, t1)
+        times, ids, prev = _window_requests(catalog.rates, catalog.groups, nxt, last, rng, t1)
         if config.horizon_time is not None:
             size = int(np.searchsorted(times, config.horizon_time, side="right"))
             final = config.horizon_time < t1

@@ -117,6 +117,30 @@ def gamma_laws_mp(k, x, dps=40):
         return float(P), float(Q), float((x * Q + k * P1) / k)
 
 
+def ccdf_mp(dist, t, dps=40):
+    """P[X > t] for t > 0 from each family's closed form at dps digits
+    (``gamma_laws_mp`` for Gamma and Erlang), read off the public
+    parameters only, so no cancellation enters the tail."""
+    import mpmath as mp
+    name = type(dist).__name__
+    with mp.workdps(dps):
+        t = mp.mpf(t)
+        if name in ("Gamma", "Erlang"):
+            return gamma_laws_mp(dist.shape, mp.mpf(dist.rate_param) * t, dps)[1]
+        if name == "Exponential":
+            q = mp.exp(-mp.mpf(dist.rate_param) * t)
+        elif name == "Weibull":
+            q = mp.exp(-(t / mp.mpf(dist.scale)) ** mp.mpf(dist.shape))
+        elif name == "Hyperexponential":
+            q = mp.fsum(mp.mpf(w) * mp.exp(-mp.mpf(r) * t)
+                        for w, r in zip(dist.weights, dist.rates))
+        elif name == "ParetoLomax":
+            q = (1 + t / mp.mpf(dist.scale)) ** (-mp.mpf(dist.shape))
+        else:
+            raise TypeError(f"no ccdf oracle for {name}")
+        return float(q)
+
+
 def midpoint_density_integral(density, phi, points=1_000_000):
     """Midpoint rule for integral_0^1 phi(f(x)) dx on a uniform grid in x,
     with no substitution: fine for bounded densities (constant, tabulated)."""

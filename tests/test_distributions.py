@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from ttlapprox.distributions import (Erlang, Exponential, Gamma, Hyperexponentia
                                      check_smoothness, distribution_from_config)
 from ttlapprox.errors import ConfigError
 
-from oracles import gamma_laws_mp, trapezoid_age_cdf
+from oracles import ccdf_mp, gamma_laws_mp, trapezoid_age_cdf
 
 ALL_FAMILIES = [
     Exponential(1.3),
@@ -137,6 +138,56 @@ class TestFusedKernel:
         age, ccdf = d._age_cdf_ccdf(t)
         assert np.array_equal(age, d.age_cdf(t))
         assert np.array_equal(ccdf, d.ccdf(t))
+
+
+class TestExactTails:
+    """The ccdf of every family against a 40-digit oracle, relative to its
+    own size wherever it exceeds 1e-300: a tail computed as 1 - cdf fails."""
+
+    @pytest.mark.parametrize("d", ALL_FAMILIES, ids=repr)
+    def test_ccdf_against_mpmath(self, d):
+        t = np.geomspace(1e-9, 1e4, 120) * d.mean
+        ref = np.array([ccdf_mp(d, v) for v in t])
+        tail = ref > 1e-300
+        got = d.ccdf(t)
+        assert float(np.max(np.abs(got - ref)[tail] / ref[tail])) <= 1e-12
+
+    def test_exponential_deep_tail(self):
+        # relative only: pytest.approx would also forgive an absolute 1e-12
+        assert abs(Exponential(1.0).ccdf(40.0) / math.exp(-40.0) - 1.0) <= 1e-12
+
+
+class TestSupportLimits:
+    """(cdf, ccdf, age_cdf, pdf, age_pdf) at t = -1, 0 and inf come from the
+    limits, with no warning, whether t is a scalar or in a mixed array."""
+
+    @staticmethod
+    def _expected(d):
+        return {-1.0: (0.0, 1.0, 0.0, 0.0, 0.0),
+                0.0: (0.0, 1.0, 0.0, 0.0, d.rate),
+                math.inf: (1.0, 0.0, 1.0, 0.0, 0.0)}
+
+    @staticmethod
+    def _laws(d):
+        return (d.cdf, d.ccdf, d.age_cdf, d.pdf, d.age_pdf)
+
+    @pytest.mark.parametrize("d", AGE_SAMPLED, ids=repr)
+    def test_scalars(self, d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t, want in self._expected(d).items():
+                assert tuple(f(t) for f in self._laws(d)) == want
+
+    @pytest.mark.parametrize("d", AGE_SAMPLED, ids=repr)
+    def test_mixed_array(self, d):
+        expected = self._expected(d)
+        t = np.array([math.inf, d.mean, -1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k, f in enumerate(self._laws(d)):
+                got = f(t)
+                assert list(got[[0, 2, 3]]) == [expected[v][k] for v in (math.inf, -1.0, 0.0)]
+                assert got[1] == f(d.mean)
 
 
 class TestQuantiles:

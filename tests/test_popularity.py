@@ -111,6 +111,21 @@ class TestSortedOrder:
         assert sorted(cat.sorted_order.tolist()) == list(range(50))
 
 
+class TestGroups:
+    def test_partition_in_content_order(self):
+        # interleaved classes: each group lists its contents in increasing
+        # index order, and the groups together cover every content once
+        rng = np.random.default_rng(4)
+        class_of = rng.integers(0, 3, 200)
+        classes = (Exponential(1.0), Gamma(2.0, 2.0), Weibull(1.0, 1.0))
+        cat = ContentCatalog(rates=np.ones(200), classes=classes, class_of=class_of)
+        assert [d for d, _ in cat.groups] == list(classes)
+        for c, (_, idx) in enumerate(cat.groups):
+            assert np.array_equal(idx, np.flatnonzero(class_of == c))
+        assert np.array_equal(np.sort(np.concatenate([i for _, i in cat.groups])),
+                              np.arange(200))
+
+
 class TestCheckP1:
     def test_zipf_08_holds(self):
         n = 10**4
