@@ -6,7 +6,7 @@ the resulting per-content and aggregate hit probabilities, computes their
 large-system limits, and validates everything against an exact
 simulator fed by independent stationary renewal streams.  The simulator
 merges each time window's requests in one vectorized batch; only the LRU
-recency update runs per request.
+pointer scan over the merged requests runs per request.
 """
 
 from .approx import (CharacteristicTimeResult, ConcentrationCurve, TtlHit,

@@ -39,6 +39,8 @@ def _occupancy_and_slope(catalog: ContentCatalog, T: float) -> tuple[float, floa
     the age cdf and the ccdf of its contents together."""
     if T < 0:
         raise ConfigError(f"T must be >= 0, got {T}")
+    if T == math.inf:  # every content resident, none missing: the kernels' limits
+        return float(catalog.n), 0.0
     k, slope = [], []
     # scale-family identity: the age cdf (ccdf) of content i at T is the
     # class age cdf (ccdf) at rate_i*T

@@ -12,9 +12,12 @@ falls inside draw their gaps in one vectorized call per class, a
 segmented cumulative sum turns the gaps into request times, and the
 window's requests are merged in time order (ties broken by content
 index).  LRU depends on this merged sequence alone (the stack view of
-Mattson et al. 1970), so its recency update is the only per-request
-Python loop; a reset-timer cache needs none, because a request hits iff
-the same content's previous request is at most the timer earlier.
+Mattson et al. 1970): the cache holds the contents whose latest request
+lies at or after a pointer into the sequence that only moves forward, so
+the one per-request Python loop is a pointer scan that costs a list
+load, a compare and a store per request.  A reset-timer cache needs no
+loop, because a request hits iff the same content's previous request is
+at most the timer earlier.
 
 A single run is strictly sequential and draws all its randomness from one
 Philox stream keyed by (seed, replication); parallelism exists only across
@@ -25,7 +28,6 @@ are reproducible bit for bit from (config, seed).
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -75,7 +77,9 @@ class SimulationConfig:
     least 5n events have been processed.
 
     ``tau_stride`` > 0 samples the reuse-window width at every stride-th
-    post-warmup request (LRU only).
+    post-warmup request (LRU only).  ``check_invariants`` checks the LRU
+    state at the end of every window: its cached contents number exactly
+    its count, and no more than the capacity.
     """
 
     catalog: ContentCatalog
@@ -242,51 +246,94 @@ def _window_requests(rates, groups, nxt, last, rng, t1):
     if not parts:
         return np.empty(0), np.empty(0, dtype=np.int64), np.empty(0)
     times, ids, prev = (np.concatenate(p) for p in zip(*parts))
-    order = np.lexsort((ids, times))
-    return times[order], ids[order], prev[order]
+    order = np.argsort(times)
+    ordered = times[order]
+    if np.any(ordered[1:] == ordered[:-1]):  # exact ties: order them by content
+        order = np.lexsort((ids, times))
+        ordered = times[order]
+    return ordered, ids[order], prev[order]
 
 
-def _lru_pass(cache, capacity, ids, times, hit):
-    """The LRU update: apply requests in order and append their hit flags.
+class _Lru:
+    """LRU as a pointer scan over the merged request sequence.
 
-    ``cache`` maps content -> last request time, least recent first."""
-    touch, evict, record = cache.move_to_end, cache.popitem, hit.append
-    for i, t in zip(ids, times):
-        if i in cache:
-            touch(i)
-            cache[i] = t
-            record(True)
-        else:
-            cache[i] = t
-            record(False)
-            if len(cache) > capacity:
-                evict(last=False)
-
-
-def _lru_window(cache, capacity, ids, times, first_tau, stride, check, taus):
-    """Hit flags of one window's requests under LRU.
-
-    With ``stride``, the reuse window (now minus the capacity-th most recent
-    distinct request time) is sampled before the requests at first_tau,
-    first_tau + stride, ... once capacity contents have been seen; with
-    ``check``, occupancy <= capacity is checked after every request.
+    The cache holds the contents whose latest request is at or after
+    position ``p``.  ``latest[i]`` is the position of content i's latest
+    request (-1 before its first); ``seq`` holds the requested contents
+    from position ``base`` on, and ``at`` their times when the reuse window
+    is sampled.  An entry is live iff it is its content's latest request,
+    and ``count`` live entries lie at or after ``p``.  ``p`` moves only
+    forward: over dead entries, and past the least recent live one to
+    evict it.
     """
-    end = len(ids)
-    if check:
-        stops = range(end + 1)
-    else:
-        stops = [*range(first_tau, end, stride), end] if stride else [end]
-    hit = []
-    done = 0
-    for s in stops:
-        _lru_pass(cache, capacity, ids[done:s], times[done:s], hit)
-        done = s
-        if check and len(cache) > capacity:  # raised, not asserted: python -O keeps it
-            raise AssertionError("LRU capacity exceeded")
-        if stride and first_tau <= s < end and (s - first_tau) % stride == 0 \
-                and len(cache) >= capacity:
-            taus.append(times[s] - next(iter(cache.values())))
-    return np.array(hit, dtype=bool)
+
+    def __init__(self, n, capacity):
+        self.capacity = capacity
+        self.latest = [-1] * n
+        self.seq, self.at = [], []
+        self.base = self.p = self.count = self.pos = 0
+
+    def _scan(self, ids, misses):
+        """The LRU update: apply requests in order and append the positions
+        of the misses.  A request hits iff its content's latest request is
+        at or after p."""
+        latest, seq, base, capacity = self.latest, self.seq, self.base, self.capacity
+        p, count = self.p, self.count
+        record = misses.append
+        for k, i in enumerate(ids, self.pos):
+            if latest[i] < p:
+                record(k)
+                if count == capacity:
+                    while latest[seq[p - base]] != p:
+                        p += 1
+                    p += 1
+                else:
+                    count += 1
+            latest[i] = k
+        self.p, self.count = p, count
+        self.pos += len(ids)
+
+    def _least_recent(self):
+        """Skip the dead entries at p; p is then the least recent cached
+        content's latest request (the cache must not be empty)."""
+        latest, seq, base, p = self.latest, self.seq, self.base, self.p
+        while latest[seq[p - base]] != p:
+            p += 1
+        self.p = p
+        return p - base
+
+    def window(self, ids, times, first_tau, stride, check, taus):
+        """Hit flags of one window's requests.
+
+        With ``stride``, the reuse window (now minus the least recent cached
+        content's latest request time) is sampled before the requests at
+        first_tau, first_tau + stride, ... whenever the cache is full; with
+        ``check``, the live entries are counted against ``count`` and the
+        capacity at the window's end.
+        """
+        start = self.pos
+        self.seq.extend(ids)
+        misses, done = [], 0
+        if stride:
+            self.at.extend(times)
+            for s in range(first_tau, len(ids), stride):
+                self._scan(ids[done:s], misses)
+                done = s
+                if self.count >= self.capacity:
+                    taus.append(times[s] - self.at[self._least_recent()])
+        self._scan(ids[done:], misses)
+        if self.count:
+            cut = self._least_recent()
+            del self.seq[:cut], self.at[:cut]
+            self.base = self.p
+        if check:  # raised, not asserted: python -O keeps it
+            live = sum(self.latest[i] == k for k, i in enumerate(self.seq, self.base))
+            if live != self.count or self.count > self.capacity:
+                raise AssertionError(f"LRU holds {live} live entries, counts {self.count}, "
+                                     f"capacity {self.capacity}")
+        hit = np.ones(len(ids), dtype=bool)
+        hit[np.array(misses, dtype=np.int64) - start] = False
+        return hit
 
 
 def _simulate(config: SimulationConfig, replication: int, trace=None):
@@ -296,9 +343,8 @@ def _simulate(config: SimulationConfig, replication: int, trace=None):
     last = np.full(n, -np.inf)
     width = _WINDOW_EVENTS / catalog.total_rate
     warm_ev, warm_t = _resolve_warmup(config)
-    is_lru = isinstance(policy, LRU)
-    cache = OrderedDict()
     stride = config.tau_stride
+    lru = _Lru(n, policy.capacity) if isinstance(policy, LRU) else None
     reqs = np.zeros(n, dtype=np.int64)
     hits = np.zeros(n, dtype=np.int64)
     taus = []
@@ -322,10 +368,10 @@ def _simulate(config: SimulationConfig, replication: int, trace=None):
             first = min(size, max(warm_ev - done, int(np.searchsorted(times, warm_t))))
             if first < size:
                 t_start = float(times[first])
-        if is_lru:
+        if lru is not None:
             first_tau = first + (-measured) % stride if stride else 0
-            hit = _lru_window(cache, policy.capacity, ids.tolist(), times.tolist(),
-                              first_tau, stride, config.check_invariants, taus)
+            hit = lru.window(ids.tolist(), times.tolist() if stride else None,
+                             first_tau, stride, config.check_invariants, taus)
         else:
             hit = times - prev <= policy.timer
         seen, seen_hit = ids[first:], hit[first:]

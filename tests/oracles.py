@@ -5,6 +5,7 @@ library paths it checks.
 """
 
 import itertools
+from collections import OrderedDict
 
 import numpy as np
 
@@ -60,6 +61,28 @@ def lru_irm_product_form(p, C):
         for i in order[:C]:
             hit[i] += mass
     return hit
+
+
+def ordered_dict_lru(ids, times, capacity, first=0, stride=0):
+    """Replay requests through an OrderedDict recency list (content -> latest
+    request time, least recent first), the simulator's former LRU loop.
+
+    Returns the hit flag of every request and the reuse windows (now minus
+    the least recent cached content's latest request time) sampled, with
+    ``stride``, before the requests first, first + stride, ... whenever
+    capacity contents are cached.
+    """
+    cache, hits, taus = OrderedDict(), [], []
+    for k, (i, t) in enumerate(zip(ids.tolist(), times.tolist())):
+        if stride and k >= first and (k - first) % stride == 0 and len(cache) >= capacity:
+            taus.append(t - next(iter(cache.values())))
+        hits.append(i in cache)
+        if i in cache:
+            cache.move_to_end(i)
+        cache[i] = t
+        if len(cache) > capacity:
+            cache.popitem(last=False)
+    return np.array(hits), np.array(taus, dtype=float)
 
 
 def bisection_characteristic_time(occupancy, C, lo=0.0, hi=None, iters=1000):

@@ -15,6 +15,7 @@ from ttlapprox.errors import ConfigError
 from ttlapprox.popularity import ContentCatalog, ZipfLaw, build_catalog
 
 from oracles import bisection_characteristic_time
+from test_distributions import ALL_FAMILIES
 
 
 def poisson_catalog(n, alpha, total_rate):
@@ -80,6 +81,19 @@ class TestOccupancy:
         assert np.all(np.diff(K) >= -1e-12)
         assert np.all(np.diff(Kp) <= 1e-9 * cat.total_rate)  # K' nonincreasing
         assert K[-1] == pytest.approx(cat.n, rel=1e-3)
+
+
+class TestInfiniteTimer:
+    @pytest.mark.parametrize("d", ALL_FAMILIES, ids=repr)
+    def test_saturated_at_infinity(self, d):
+        # K(inf) = n and K'(inf) = 0, consistent with ttl_hit(inf) = 1; a
+        # RuntimeWarning from a kernel fails the test (filterwarnings)
+        cat = build_catalog(ZipfLaw(0.8), 40, 10.0, d)
+        assert _occupancy_and_slope(cat, math.inf) == (40.0, 0.0)
+        assert expected_occupancy(cat, math.inf) == 40.0
+        assert occupancy_derivative(cat, math.inf) == 0.0
+        assert miss_probability(cat, math.inf) == 0.0
+        assert ttl_hit(cat, math.inf).aggregate == 1.0
 
 
 class TestFusedOccupancy:

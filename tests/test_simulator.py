@@ -6,13 +6,13 @@ import pytest
 from scipy import stats
 
 from ttlapprox.approx import characteristic_time
-from ttlapprox.distributions import Exponential, Gamma, Weibull
+from ttlapprox.distributions import Exponential, Gamma, InterRequestDistribution, Weibull
 from ttlapprox.errors import ConfigError
 from ttlapprox.popularity import ContentCatalog, ZipfLaw, build_catalog
 from ttlapprox.simulator import (_WINDOW_EVENTS, LRU, TTL, SimulationConfig,
-                                 init_stationary, replicate, run)
+                                 _window_requests, init_stationary, replicate, run)
 
-from oracles import lru_irm_markov, lru_irm_product_form
+from oracles import lru_irm_markov, lru_irm_product_form, ordered_dict_lru
 
 
 def exp_catalog(rates):
@@ -50,6 +50,19 @@ def brute_force_lru(ids, times, C):
         recency.insert(0, i)
         last[i] = t
     return np.array(hits), taus
+
+
+class ConstantGap(InterRequestDistribution):
+    """Test-only unit-mean law: every gap is 1 and every age 1/4, so
+    contents of equal rate request at exactly the same times."""
+
+    mean = 1.0
+
+    def sample_inter_batch(self, rng, size):
+        return np.ones(size)
+
+    def sample_age_batch(self, rng, size):
+        return np.full(size, 0.25)
 
 
 class TestConfigValidation:
@@ -240,7 +253,61 @@ class TestRecencySemantics:
         assert np.any(h2 > h1)
 
 
+# Zipf(0.8) over 2000 bursty renewal streams; 60 000 requests span four
+# windows of the engine
+ZIPF_RENEWAL = build_catalog(ZipfLaw(0.8), 2000, 2000.0,
+                             [(0.5, Gamma(0.5, 1.0)), (0.5, Weibull(0.7, 1.0))])
+
+
+class TestPointerScan:
+    """The LRU scan against the former OrderedDict loop (``ordered_dict_lru``)
+    replayed over the same sample path, which depends on the seed alone."""
+
+    @pytest.mark.parametrize("C", [1, 600, 1999, 2000])
+    def test_bitwise_equal_to_ordered_dict_loop(self, C):
+        n, warm = ZIPF_RENEWAL.n, 20_000  # warmup ends inside the second window
+        width = _WINDOW_EVENTS / ZIPF_RENEWAL.total_rate
+        cases = [({"horizon_events": 60_000}, stride) for stride in (0, 1, 7)]
+        cases.append(({"horizon_time": 2.5 * width}, 7))
+        for horizon, stride in cases:
+            # the whole path: every request measured, any policy
+            _, times, ids, _ = traced(SimulationConfig(
+                catalog=ZIPF_RENEWAL, policy=TTL(1.0), warmup_events=0, seed=37, **horizon))
+            assert width < times[warm] < 2 * width < times[-1]
+            rep = run(SimulationConfig(catalog=ZIPF_RENEWAL, policy=LRU(C), warmup_events=warm,
+                                       seed=37, tau_stride=stride, check_invariants=True,
+                                       **horizon))
+            hit, taus = ordered_dict_lru(ids, times, C, first=warm, stride=stride)
+            seen = ids[warm:]
+            assert np.array_equal(rep.requests, np.bincount(seen, minlength=n))
+            assert np.array_equal(rep.hits, np.bincount(seen[hit[warm:]], minlength=n))
+            assert rep.tau_samples.tobytes() == taus.tobytes()
+            if stride and C <= 600:  # near n, the cache does not fill in this path
+                assert taus.size > 0
+
+
 class TestWindowMerge:
+    def test_tied_times_ordered_by_content(self):
+        # rates 1, 2, 4 and 0.5 repeat over 64 contents, so gaps and ages
+        # are dyadic, every sum is exact, and the 16 contents of each rate
+        # request at the same times
+        rates = np.tile([1.0, 2.0, 4.0, 0.5], 16)
+        cat = ContentCatalog(rates=rates, classes=(ConstantGap(),),
+                             class_of=np.zeros(rates.size, dtype=np.int64))
+        nxt, rng = init_stationary(cat, seed=0)
+        last = np.full(cat.n, -np.inf)
+        t1 = _WINDOW_EVENTS / cat.total_rate
+        times, ids, prev = _window_requests(cat.rates, cat.groups, nxt, last, rng, t1)
+        assert times.size > _WINDOW_EVENTS // 2
+        assert np.sum(np.diff(times) == 0) > times.size // 2
+        assert np.array_equal(np.lexsort((ids, times)), np.arange(times.size))
+        again = np.isfinite(prev)
+        assert np.array_equal((times - prev)[again], 1.0 / rates[ids[again]])
+        # and across windows, as the engine sees them
+        _, times, ids, _ = traced(SimulationConfig(catalog=cat, policy=TTL(1.0),
+                                                   horizon_events=40_000, warmup_events=0))
+        assert np.array_equal(np.lexsort((ids, times)), np.arange(times.size))
+
     def test_gaps_follow_class_law_across_windows(self):
         # 4096 equally popular unit-rate contents make about 4 requests each
         # per window, so roughly a quarter of all gaps straddle a window edge.
