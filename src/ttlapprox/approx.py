@@ -37,7 +37,7 @@ __all__ = [
 def _occupancy_and_slope(catalog: ContentCatalog, T: float) -> tuple[float, float]:
     """(K(T), K'(T)) in one pass over the classes: each class kernel returns
     the age cdf and the ccdf of its contents together."""
-    if T < 0:
+    if not T >= 0:  # NaN fails this too
         raise ConfigError(f"T must be >= 0, got {T}")
     if T == math.inf:  # every content resident, none missing: the kernels' limits
         return float(catalog.n), 0.0
@@ -144,7 +144,7 @@ class TtlHit:
 
 def ttl_hit(catalog: ContentCatalog, T: float) -> TtlHit:
     """Per-content hit probabilities cdf_i(T) and their popularity-weighted mean."""
-    if T < 0:
+    if not T >= 0:  # NaN fails this too
         raise ConfigError(f"T must be >= 0, got {T}")
     per = np.empty(catalog.n)
     for dist, idx in catalog.groups:

@@ -19,6 +19,12 @@ load, a compare and a store per request.  A reset-timer cache needs no
 loop, because a request hits iff the same content's previous request is
 at most the timer earlier.
 
+A window that lies wholly inside the warmup still draws its gaps, from
+the same stream, but is neither merged nor scanned.  The cache at any
+moment is the C most recently requested contents, so at the first
+window with a measured request the LRU starts from each content's latest
+request time, with the hit flags the full scan would have given.
+
 A single run is strictly sequential and draws all its randomness from one
 Philox stream keyed by (seed, replication); parallelism exists only across
 replications, whose results are merged in replication order so reports
@@ -78,8 +84,10 @@ class SimulationConfig:
 
     ``tau_stride`` > 0 samples the reuse-window width at every stride-th
     post-warmup request (LRU only).  ``check_invariants`` checks the LRU
-    state at the end of every window: its cached contents number exactly
-    its count, and no more than the capacity.
+    state at the end of every window from the first measured one on (the
+    windows wholly inside the warmup are neither merged nor scanned): its
+    cached contents number exactly its count, and no more than the
+    capacity.
     """
 
     catalog: ContentCatalog
@@ -204,7 +212,7 @@ def _resolve_warmup(config: SimulationConfig):
 _WINDOW_EVENTS = 2 ** 14  # expected requests per window
 
 
-def _window_requests(rates, groups, nxt, last, rng, t1):
+def _window_draws(rates, groups, nxt, last, rng, t1):
     """Requests before t1 of every content whose next request is before t1.
 
     Each such content draws ceil(m + 3 sqrt(m) + 2) gaps, m being its
@@ -213,8 +221,8 @@ def _window_requests(rates, groups, nxt, last, rng, t1):
     the unused gaps is exact; the rare content whose gaps all fall inside
     the window draws again.  Advances nxt (each content's first request at
     or after t1) and last (its latest request before t1).  Returns (times,
-    ids, prev) in time order, ties broken by content index; prev is the
-    same content's previous request time, -inf before its first.
+    ids, prev) grouped by content, not in time order; prev is the same
+    content's previous request time, -inf before its first.
     """
     parts = []
     for dist, idx in groups:
@@ -245,7 +253,11 @@ def _window_requests(rates, groups, nxt, last, rng, t1):
             todo = todo[nxt[todo] < t1]
     if not parts:
         return np.empty(0), np.empty(0, dtype=np.int64), np.empty(0)
-    times, ids, prev = (np.concatenate(p) for p in zip(*parts))
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _merged(times, ids, prev):
+    """The requests in time order, ties broken by content index."""
     order = np.argsort(times)
     ordered = times[order]
     if np.any(ordered[1:] == ordered[:-1]):  # exact ties: order them by content
@@ -254,24 +266,41 @@ def _window_requests(rates, groups, nxt, last, rng, t1):
     return ordered, ids[order], prev[order]
 
 
+def _window_requests(rates, groups, nxt, last, rng, t1):
+    """``_window_draws`` merged: (times, ids, prev) in time order."""
+    return _merged(*_window_draws(rates, groups, nxt, last, rng, t1))
+
+
 class _Lru:
     """LRU as a pointer scan over the merged request sequence.
 
     The cache holds the contents whose latest request is at or after
     position ``p``.  ``latest[i]`` is the position of content i's latest
-    request (-1 before its first); ``seq`` holds the requested contents
-    from position ``base`` on, and ``at`` their times when the reuse window
-    is sampled.  An entry is live iff it is its content's latest request,
-    and ``count`` live entries lie at or after ``p``.  ``p`` moves only
-    forward: over dead entries, and past the least recent live one to
-    evict it.
+    request (-1 if the sequence holds none); ``seq`` holds the requested
+    contents from position ``base`` on, and ``at`` their times when the
+    reuse window is sampled.  An entry is live iff it is its content's
+    latest request, and ``count`` live entries lie at or after ``p``.
+    ``p`` moves only forward: over dead entries, and past the least recent
+    live one to evict it.
+
+    LRU depends only on the recency order, so the state at any moment is
+    the ``capacity`` most recently requested contents.  The constructor
+    takes each content's latest request time so far (-inf before its
+    first) and caches the ``capacity`` requested contents with the largest
+    (time, content index), the merge's own order, as positions 0, 1, ...
+    from least to most recent; with every time -inf the cache is empty.
     """
 
-    def __init__(self, n, capacity):
+    def __init__(self, last, capacity):
         self.capacity = capacity
-        self.latest = [-1] * n
-        self.seq, self.at = [], []
-        self.base = self.p = self.count = self.pos = 0
+        order = np.argsort(last, kind="stable")[-capacity:]  # ties: by index
+        order = order[last[order] > -np.inf]
+        latest = np.full(last.size, -1, dtype=np.int64)
+        latest[order] = np.arange(order.size)
+        self.latest = latest.tolist()
+        self.seq, self.at = order.tolist(), last[order].tolist()
+        self.base = self.p = 0
+        self.count = self.pos = order.size
 
     def _scan(self, ids, misses):
         """The LRU update: apply requests in order and append the positions
@@ -344,24 +373,38 @@ def _simulate(config: SimulationConfig, replication: int, trace=None):
     width = _WINDOW_EVENTS / catalog.total_rate
     warm_ev, warm_t = _resolve_warmup(config)
     stride = config.tau_stride
-    lru = _Lru(n, policy.capacity) if isinstance(policy, LRU) else None
+    lru = None
     reqs = np.zeros(n, dtype=np.int64)
     hits = np.zeros(n, dtype=np.int64)
     taus = []
     done = measured = window = 0
     t_start = None
-    now = 0.0
+    now = t1 = 0.0
     final = False
     while not final:
         window += 1
-        t1 = window * width
-        times, ids, prev = _window_requests(catalog.rates, catalog.groups, nxt, last, rng, t1)
+        t0, t1 = t1, window * width
+        times, ids, prev = _window_draws(catalog.rates, catalog.groups, nxt, last, rng, t1)
         if config.horizon_time is not None:
-            size = int(np.searchsorted(times, config.horizon_time, side="right"))
             final = config.horizon_time < t1
         else:
+            final = done + times.size >= config.horizon_events
+        if t_start is None and not final and times.size <= max(
+                warm_ev - done, int(np.count_nonzero(times < warm_t))):
+            done += times.size  # wholly inside the warmup: neither merged nor scanned
+            continue
+        if lru is None and isinstance(policy, LRU):
+            # each content's latest request before t0: a request whose
+            # previous one is before t0 is its content's first in the window
+            start = last.copy()
+            before = prev < t0
+            start[ids[before]] = prev[before]
+            lru = _Lru(start, policy.capacity)
+        times, ids, prev = _merged(times, ids, prev)
+        if config.horizon_time is not None:
+            size = int(np.searchsorted(times, config.horizon_time, side="right"))
+        else:
             size = min(times.size, config.horizon_events - done)
-            final = done + size == config.horizon_events
         times, ids, prev = times[:size], ids[:size], prev[:size]
         first = 0
         if t_start is None:

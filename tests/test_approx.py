@@ -96,6 +96,17 @@ class TestInfiniteTimer:
         assert ttl_hit(cat, math.inf).aggregate == 1.0
 
 
+class TestInvalidTimer:
+    @pytest.mark.parametrize("T", [math.nan, -1.0, -math.inf], ids=repr)
+    @pytest.mark.parametrize("f", [expected_occupancy, occupancy_derivative,
+                                   miss_probability, ttl_hit], ids=lambda f: f.__name__)
+    def test_raises_config_error(self, f, T):
+        # NaN fails a `T < 0` guard and would come back as NaN, or as a
+        # 0.0 aggregate from ttl_hit
+        with pytest.raises(ConfigError, match="T must be >= 0"):
+            f(poisson_catalog(10, 0.8, 10.0), T)
+
+
 class TestFusedOccupancy:
     """K and K' come from one pass over the classes."""
 

@@ -9,7 +9,7 @@ from ttlapprox.approx import characteristic_time
 from ttlapprox.distributions import Exponential, Gamma, InterRequestDistribution, Weibull
 from ttlapprox.errors import ConfigError
 from ttlapprox.popularity import ContentCatalog, ZipfLaw, build_catalog
-from ttlapprox.simulator import (_WINDOW_EVENTS, LRU, TTL, SimulationConfig,
+from ttlapprox.simulator import (_WINDOW_EVENTS, LRU, TTL, SimulationConfig, _Lru,
                                  _window_requests, init_stationary, replicate, run)
 
 from oracles import lru_irm_markov, lru_irm_product_form, ordered_dict_lru
@@ -259,31 +259,123 @@ ZIPF_RENEWAL = build_catalog(ZipfLaw(0.8), 2000, 2000.0,
                              [(0.5, Gamma(0.5, 1.0)), (0.5, Weibull(0.7, 1.0))])
 
 
+# rates 1, 2, 4 and 0.5 repeat over 64 contents: 16 contents share every
+# request time
+TIED = ContentCatalog(rates=np.tile([1.0, 2.0, 4.0, 0.5], 16), classes=(ConstantGap(),),
+                      class_of=np.zeros(64, dtype=np.int64))
+
+
+def check_against_ordered_dict_loop(catalog, C, stride, seed, warmup, horizon):
+    """Run LRU(C) with ``check_invariants`` and compare hits, requests,
+    tau_samples and elapsed_time bitwise with ``ordered_dict_lru`` replayed
+    over the whole sample path, which depends on the seed alone.  Returns
+    the report, the path's times and contents, and the index of its first
+    measured request."""
+    _, times, ids, _ = traced(SimulationConfig(catalog=catalog, policy=TTL(1.0),
+                                               warmup_events=0, seed=seed, **horizon))
+    rep = run(SimulationConfig(catalog=catalog, policy=LRU(C), seed=seed, tau_stride=stride,
+                               check_invariants=True, **warmup, **horizon))
+    first = min(times.size, max(warmup.get("warmup_events", 0),
+                                int(np.searchsorted(times, warmup.get("warmup_time", 0.0)))))
+    hit, taus = ordered_dict_lru(ids, times, C, first=first, stride=stride)
+    seen = ids[first:]
+    assert np.array_equal(rep.requests, np.bincount(seen, minlength=catalog.n))
+    assert np.array_equal(rep.hits, np.bincount(seen[hit[first:]], minlength=catalog.n))
+    assert rep.tau_samples.tobytes() == taus.tobytes()
+    assert rep.elapsed_time == (times[-1] - times[first] if seen.size else 0.0)
+    return rep, times, ids, first
+
+
 class TestPointerScan:
     """The LRU scan against the former OrderedDict loop (``ordered_dict_lru``)
     replayed over the same sample path, which depends on the seed alone."""
 
     @pytest.mark.parametrize("C", [1, 600, 1999, 2000])
     def test_bitwise_equal_to_ordered_dict_loop(self, C):
-        n, warm = ZIPF_RENEWAL.n, 20_000  # warmup ends inside the second window
         width = _WINDOW_EVENTS / ZIPF_RENEWAL.total_rate
         cases = [({"horizon_events": 60_000}, stride) for stride in (0, 1, 7)]
         cases.append(({"horizon_time": 2.5 * width}, 7))
         for horizon, stride in cases:
-            # the whole path: every request measured, any policy
-            _, times, ids, _ = traced(SimulationConfig(
-                catalog=ZIPF_RENEWAL, policy=TTL(1.0), warmup_events=0, seed=37, **horizon))
-            assert width < times[warm] < 2 * width < times[-1]
-            rep = run(SimulationConfig(catalog=ZIPF_RENEWAL, policy=LRU(C), warmup_events=warm,
-                                       seed=37, tau_stride=stride, check_invariants=True,
-                                       **horizon))
-            hit, taus = ordered_dict_lru(ids, times, C, first=warm, stride=stride)
-            seen = ids[warm:]
-            assert np.array_equal(rep.requests, np.bincount(seen, minlength=n))
-            assert np.array_equal(rep.hits, np.bincount(seen[hit[warm:]], minlength=n))
-            assert rep.tau_samples.tobytes() == taus.tobytes()
+            # the warmup ends inside the second window
+            rep, times, _, first = check_against_ordered_dict_loop(
+                ZIPF_RENEWAL, C, stride, seed=37, warmup={"warmup_events": 20_000},
+                horizon=horizon)
+            assert width < times[first] < 2 * width < times[-1]
             if stride and C <= 600:  # near n, the cache does not fill in this path
-                assert taus.size > 0
+                assert rep.tau_samples.size > 0
+
+
+class TestWarmupRebuild:
+    """Windows wholly inside the warmup are neither merged nor scanned; the
+    LRU starts at the first measured window from each content's latest
+    request, which must give the same path as scanning the warmup."""
+
+    @pytest.mark.parametrize("stride", [0, 3])
+    @pytest.mark.parametrize("C", [5, 17, 40, 63])
+    def test_tied_latest_requests_cached_in_merge_order(self, C, stride):
+        # the warmup ends exactly at a window edge, so the first measured
+        # request sees the rebuilt state itself; 16 contents share each
+        # latest request time, and C cuts through a group of them
+        width = _WINDOW_EVENTS / TIED.total_rate
+        rep, times, ids, first = check_against_ordered_dict_loop(
+            TIED, C, stride, seed=0, warmup={"warmup_time": 2 * width},
+            horizon={"horizon_events": 4 * _WINDOW_EVENTS})
+        assert times[first - 1] < 2 * width <= times[first]
+        assert rep.total_requests > _WINDOW_EVENTS
+        latest = np.full(TIED.n, -np.inf)
+        np.maximum.at(latest, ids[:first], times[:first])
+        top = np.sort(latest)[::-1]
+        assert top[C - 1] == top[C]
+
+    @pytest.mark.parametrize("C", [29, 30])
+    def test_fewer_requested_contents_than_capacity(self, C):
+        # Zipf(3): only 20 of 30 contents are requested in the first window
+        cat = build_catalog(ZipfLaw(3.0), 30, 30.0,
+                            [(0.5, Gamma(0.5, 1.0)), (0.5, Weibull(0.7, 1.0))])
+        width = _WINDOW_EVENTS / cat.total_rate
+        for stride in (0, 1):
+            _, times, ids, first = check_against_ordered_dict_loop(
+                cat, C, stride, seed=41, warmup={"warmup_time": width},
+                horizon={"horizon_time": 4 * width})
+            assert np.unique(ids[:first]).size < C - 1
+
+    def test_warmup_outlasts_time_horizon(self):
+        width = _WINDOW_EVENTS / ZIPF_RENEWAL.total_rate
+        for C in (1, 600, 2000):
+            rep, times, _, first = check_against_ordered_dict_loop(
+                ZIPF_RENEWAL, C, 3, seed=9, warmup={"warmup_events": 10 * _WINDOW_EVENTS},
+                horizon={"horizon_time": 3.5 * width})
+            assert first == times.size > 3 * _WINDOW_EVENTS  # nothing measured
+            assert rep.total_requests == 0 and rep.elapsed_time == 0.0
+            assert rep.tau_samples.size == 0
+
+    @pytest.mark.parametrize("C", [1, 600, 1999])
+    def test_warmup_ends_mid_window_after_skipped_windows(self, C):
+        width = _WINDOW_EVENTS / ZIPF_RENEWAL.total_rate
+        for stride in (0, 7):
+            _, times, _, first = check_against_ordered_dict_loop(
+                ZIPF_RENEWAL, C, stride, seed=43,
+                warmup={"warmup_events": int(3.5 * _WINDOW_EVENTS)},
+                horizon={"horizon_events": 6 * _WINDOW_EVENTS})
+            assert 3 * width < times[first - 1] < times[first] < 4 * width
+
+    def test_warmup_only_windows_are_not_scanned(self, monkeypatch):
+        scanned = []
+        scan = _Lru._scan
+
+        def counting_scan(self, ids, misses):
+            scanned.append(len(ids))
+            scan(self, ids, misses)
+
+        monkeypatch.setattr(_Lru, "_scan", counting_scan)
+        width = _WINDOW_EVENTS / ZIPF_RENEWAL.total_rate
+        rep, times, _, first = check_against_ordered_dict_loop(
+            ZIPF_RENEWAL, 600, 0, seed=47, warmup={"warmup_events": int(3.5 * _WINDOW_EVENTS)},
+            horizon={"horizon_events": 6 * _WINDOW_EVENTS})
+        per_window = np.bincount((times // width).astype(np.int64))
+        assert times[first] > 3 * width
+        # at most the measured requests and the head of their first window
+        assert sum(scanned) <= rep.total_requests + per_window.max()
 
 
 class TestWindowMerge:
