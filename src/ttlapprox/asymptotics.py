@@ -11,10 +11,10 @@ and concave, so ``solve_nu0`` finds nu0 by the same monotone Newton that
 solves K(T) = C at finite n.  The limiting aggregate hit probability is
 sum_j b_j * integral f_j(x) psi_j(nu0 f_j(x)) dx.
 
-The class integrals use a vectorized adaptive Gauss-Legendre rule: each
-round evaluates the integrand at every node of every open panel in one
-call, and an integrand may return several components, so one pass gives
-beta and beta' together.
+The class integrals use the package's adaptive Gauss-Legendre rule,
+``distributions._adaptive_gauss``: each round evaluates the integrand at
+every node of every open panel in one call, and an integrand may return
+several components, so one pass gives beta and beta' together.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import ConstantDensity, PowerLawDensity, TabulatedDensity
-from .distributions import monotone_newton
-from .errors import ConfigError, QuadratureError
+from .distributions import _adaptive_gauss, _finite, monotone_newton
+from .errors import ConfigError
 from .popularity import ContentCatalog
 
 __all__ = [
@@ -90,62 +90,6 @@ class AsymptoticModel:
                 "expected 1")
 
 
-_GAUSS_LO = np.polynomial.legendre.leggauss(10)
-_GAUSS_HI = np.polynomial.legendre.leggauss(20)
-_MAX_BISECTIONS = 60
-_MAX_PANELS = 4096
-
-
-def _finite(values) -> np.ndarray:
-    v = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise QuadratureError("class integrand returned a value that is not finite")
-    return v
-
-
-def _gauss_panels(g, a, h):
-    """10- and 20-point Gauss-Legendre sums of g on the panels [a, a + h]."""
-    (x10, w10), (x20, w20) = _GAUSS_LO, _GAUSS_HI
-    nodes = np.concatenate((x10, x20))
-    v = _finite(g((a[:, None] + 0.5 * h[:, None] * (nodes + 1.0)).ravel()))
-    v = v.reshape(v.shape[:-1] + (a.size, nodes.size))
-    return 0.5 * h * (v[..., :10] @ w10), 0.5 * h * (v[..., 10:] @ w20)
-
-
-def _adaptive_gauss(g, tol: float = _QUAD_ATOL / 10):
-    """Integral of g over [0, 1] by adaptive Gauss-Legendre on panels.
-
-    g maps an array of points to values along its last axis, with any
-    number of leading components.  Every round evaluates all open panels
-    in one call of g.  The error of a panel is the largest difference of
-    its 10- and 20-point sums over the components; a panel within its
-    share tol * width is closed, and the others are bisected.  The 20-point
-    sums are returned once the errors of all panels add up to at most tol.
-
-    Raises
-    ------
-    QuadratureError
-        if g returns a value that is not finite, or if the error does not
-        meet tol within _MAX_BISECTIONS bisections or _MAX_PANELS panels.
-    """
-    a, h = np.zeros(1), np.ones(1)
-    closed, closed_err = [], 0.0
-    for _ in range(_MAX_BISECTIONS):
-        i10, i20 = _gauss_panels(g, a, h)
-        err = np.abs(i20 - i10).reshape(-1, a.size).max(axis=0)
-        if closed_err + math.fsum(err.tolist()) <= tol:
-            closed.append(i20)
-            return np.sum(np.concatenate(closed, axis=-1), axis=-1)
-        ok = err <= tol * h
-        closed.append(i20[..., ok])
-        closed_err += math.fsum(err[ok].tolist())
-        a, h = a[~ok], 0.5 * h[~ok]
-        a, h = np.concatenate((a, a + h)), np.concatenate((h, h))
-        if a.size > _MAX_PANELS:
-            break
-    raise QuadratureError(f"class integral did not meet its tolerance {tol:.1e}")
-
-
 def _class_integral(cls: ModelClass, fn_of_f) -> np.ndarray:
     """Integrate fn_of_f(f(x)) dx over (0, 1] for one class.
 
@@ -167,7 +111,8 @@ def _class_integral(cls: ModelClass, fn_of_f) -> np.ndarray:
     if isinstance(f, PowerLawDensity) and f.exponent > 0.0:
         a = f.exponent
         q = a / (1.0 - a)
-        return _adaptive_gauss(lambda u: fn_of_f(f.coefficient * u ** (-q)) * (u ** q / (1.0 - a)))
+        return _adaptive_gauss(lambda u: fn_of_f(f.coefficient * u ** (-q)) * (u ** q / (1.0 - a)),
+                               _QUAD_ATOL / 10)[0]
     if isinstance(f, ConstantDensity):
         table = [f.value]
     elif isinstance(f, PowerLawDensity):

@@ -31,11 +31,14 @@ def _load_config(path):
         raise ConfigError("--config is required for this subcommand")
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must hold a JSON object, not {type(cfg).__name__}")
+    return cfg
 
 
 def _law_from_config(spec):

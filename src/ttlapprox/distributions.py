@@ -21,6 +21,8 @@ a closed form come from ``monotone_newton``, the package's one root
 finder: both cdfs are concave where it is used, so Newton from 0 rises to
 the root with no bracket.  ``standardize`` rescales to unit mean, the
 form used by envelope and smoothness checks.
+The package's one quadrature rule, ``_adaptive_gauss``, lives here too:
+``MaxEnvelope`` and the limit integrals of ``asymptotics`` both use it.
 """
 
 from __future__ import annotations
@@ -29,10 +31,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, optimize
 from scipy import special as sc
 
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, NumericsError, QuadratureError
 
 __all__ = [
     "InterRequestDistribution",
@@ -109,6 +110,65 @@ def monotone_newton(f_and_slope, x0: float, tol: float) -> tuple[float, float, i
         x, steps = x_new, steps + 1
         fx, d = f_and_slope(x)
     return x, abs(fx), steps
+
+
+_GAUSS_LO = np.polynomial.legendre.leggauss(10)
+_GAUSS_HI = np.polynomial.legendre.leggauss(20)
+_MAX_BISECTIONS = 60
+_MAX_PANELS = 4096
+
+
+def _finite(values) -> np.ndarray:
+    v = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise QuadratureError("integrand returned a value that is not finite")
+    return v
+
+
+def _gauss_panels(g, a, h):
+    """10- and 20-point Gauss-Legendre sums of g on the panels [a, a + h]."""
+    (x10, w10), (x20, w20) = _GAUSS_LO, _GAUSS_HI
+    nodes = np.concatenate((x10, x20))
+    v = _finite(g((a[:, None] + 0.5 * h[:, None] * (nodes + 1.0)).ravel()))
+    v = v.reshape(v.shape[:-1] + (a.size, nodes.size))
+    return 0.5 * h * (v[..., :10] @ w10), 0.5 * h * (v[..., 10:] @ w20)
+
+
+def _adaptive_gauss(g, tol: float):
+    """Integral of g over [0, 1] by adaptive Gauss-Legendre on panels, and
+    the closed panels as (left ends, 20-point sums), left to right.
+
+    g maps an array of points to values along its last axis, with any
+    number of leading components.  Every round evaluates all open panels
+    in one call of g.  The error of a panel is the largest difference of
+    its 10- and 20-point sums over the components; a panel within its
+    share tol * width is closed, and the others are bisected.  The 20-point
+    sums are returned once the errors of all panels add up to at most tol.
+
+    Raises
+    ------
+    QuadratureError
+        if g returns a value that is not finite, or if the error does not
+        meet tol within _MAX_BISECTIONS bisections or _MAX_PANELS panels.
+    """
+    a, h = np.zeros(1), np.ones(1)
+    closed, closed_err = [], 0.0
+    for _ in range(_MAX_BISECTIONS):
+        i10, i20 = _gauss_panels(g, a, h)
+        err = np.abs(i20 - i10).reshape(-1, a.size).max(axis=0)
+        done = closed_err + math.fsum(err.tolist()) <= tol
+        ok = np.full(a.size, True) if done else err <= tol * h
+        closed.append((a[ok], i20[..., ok]))
+        if done:
+            a, sums = (np.concatenate(part, axis=-1) for part in zip(*closed))
+            order = np.argsort(a)
+            return np.sum(sums, axis=-1), (a[order], sums[..., order])
+        closed_err += math.fsum(err[ok].tolist())
+        a, h = a[~ok], 0.5 * h[~ok]
+        a, h = np.concatenate((a, a + h)), np.concatenate((h, h))
+        if a.size > _MAX_PANELS:
+            break
+    raise QuadratureError(f"integral did not meet its tolerance {tol:.1e}")
 
 
 class InterRequestDistribution:
@@ -552,71 +612,60 @@ def distribution_from_config(spec: dict) -> InterRequestDistribution:
         raise ConfigError(f"bad parameters for family {family!r}: {params!r}") from exc
 
 
-_ENVELOPE_AGE_POINTS = 4096  # points of the MaxEnvelope age-cdf table
 _ENVELOPE_GRID = (1e-6, 1e3, 1000)  # check_envelope's log t grid (lo, hi, points)
 _ENVELOPE_TOL = 1e-9  # the margin check_envelope forgives
+_ENVELOPE_QUAD_TOL = 1e-12  # absolute error target of MaxEnvelope's ccdf integral
+_ENVELOPE_LOG_T = 700.0  # MaxEnvelope's ccdf integral stops at t = e^700
 
 
-class MaxEnvelope:
+class MaxEnvelope(InterRequestDistribution):
     """Pointwise maximum of the standardized cdfs of several families.
 
     This is the canonical envelope construction when the catalog mixes
     scale families: its ccdf is the pointwise minimum of the members'
     standardized ccdfs, so it lower-bounds every member by construction,
     and its mean is at most 1.
+
+    The mean integrates the ccdf over t = expm1(u / (1 - u)), u in [0, 1),
+    by ``_adaptive_gauss``: the log scale keeps a heavy tail within reach,
+    and the Lomax tail cut off at t = e^700 is below 1e-15 for shapes from
+    1.05 on.  The age cdf at t adds the closed panels left of t and one
+    20-point panel up to t.  No density, rescaling or sampler is defined.
     """
 
     def __init__(self, members):
         if not members:
             raise ConfigError("MaxEnvelope needs at least one member distribution")
         self.members = tuple(m.standardize() for m in members)
-        self._mean = None
-        self._age_grid = None
+        mean, (self._a, sums) = _adaptive_gauss(self._integrand, _ENVELOPE_QUAD_TOL)
+        self._mean = float(mean)
+        self._left = np.concatenate(([0.0], np.cumsum(sums)[:-1]))  # integral left of each panel
 
-    def cdf(self, t):
-        a, scalar = _as_array(t)
-        out = np.maximum.reduce([m.cdf(a) for m in self.members])
-        return _ret(out, scalar)
+    def _cdf(self, t):
+        return np.maximum.reduce([m._cdf(t) for m in self.members])
 
-    def ccdf(self, t):
-        a, scalar = _as_array(t)
-        out = np.minimum.reduce([m.ccdf(a) for m in self.members])
-        return _ret(out, scalar)
+    def _ccdf(self, t):
+        # a member's power of a huge t may overflow; its ccdf there is 0
+        with np.errstate(over="ignore"):
+            return np.minimum.reduce([m._ccdf(t) for m in self.members])
+
+    def _integrand(self, u):
+        """ccdf(t) dt/du at t = expm1(u / (1 - u)); 0 past t = e^700."""
+        v = u / (1.0 - u)
+        inside = v < _ENVELOPE_LOG_T
+        t = np.expm1(np.where(inside, v, 0.0))
+        return np.where(inside, self.ccdf(t) * (1.0 + t), 0.0) * (1.0 + v) ** 2
 
     @property
     def mean(self) -> float:
-        if self._mean is None:
-            val, err = integrate.quad(self.ccdf, 0.0, np.inf, epsabs=1e-11, limit=500)
-            if err > 1e-7:
-                raise NumericsError(f"envelope mean integral error {err:.2e} too large")
-            self._mean = float(val)
         return self._mean
 
-    def _age_table(self):
-        # cumulative trapezoid of the min-ccdf on a dense log grid, dense
-        # enough for quantile inversion to ~1e-7
-        if self._age_grid is None:
-            hi = 1.0
-            while self.ccdf(hi) > 1e-13 and hi < 1e12:
-                hi *= 2.0
-            grid = np.concatenate([[0.0], np.geomspace(1e-9, hi, _ENVELOPE_AGE_POINTS)])
-            cc = self.ccdf(grid)
-            cum = integrate.cumulative_trapezoid(cc, grid, initial=0.0) / self.mean
-            self._age_grid = (grid, np.minimum(cum, 1.0))
-        return self._age_grid
-
-    def age_cdf(self, t):
-        grid, cum = self._age_table()
-        a, scalar = _as_array(t)
-        out = np.interp(np.maximum(a, 0.0), grid, cum)
-        return _ret(out, scalar)
-
-    def age_quantile(self, u: float) -> float:
-        _check_unit(u)
-        grid, cum = self._age_table()
-        if u >= cum[-1]:
-            raise NumericsError(f"envelope age quantile u={u} beyond tabulated range")
-        return float(np.interp(u, cum, grid))
+    def _age_cdf_ccdf(self, t):
+        s = np.log1p(t)
+        u = np.ravel(s / (1.0 + s))
+        k = np.searchsorted(self._a, u, side="right") - 1
+        part = self._left[k] + _gauss_panels(self._integrand, self._a[k], u - self._a[k])[1]
+        return np.minimum(part.reshape(np.shape(t)) / self._mean, 1.0), self._ccdf(t)
 
 
 @dataclass(frozen=True)
@@ -681,13 +730,13 @@ def _density_bounded(d) -> bool:
 
 
 def _sup_t_pdf(d) -> float:
-    # maximize t*pdf(t): log-grid scan plus a bounded local polish
+    # maximize t*pdf(t): log-grid scan, then a linear rescan of the bracket
+    # around the best point (2.8 % of t wide: value error ~1e-10 relative)
     ts = np.geomspace(1e-8, 1e4, 2000)
     vals = ts * d.pdf(ts)
     k = int(np.argmax(vals))
-    lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)]
-    res = optimize.minimize_scalar(lambda u: -u * d.pdf(u), bounds=(lo, hi), method="bounded")
-    return float(max(vals[k], -res.fun))
+    fine = np.linspace(ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)], 4000)
+    return float(max(vals[k], np.max(fine * d.pdf(fine))))
 
 
 _SMOOTHNESS_T_GRID = (1e-4, 1e3, 400)  # check_smoothness's log t grid (lo, hi, points)

@@ -293,8 +293,10 @@ class _Lru:
 
     def __init__(self, last, capacity):
         self.capacity = capacity
-        order = np.argsort(last, kind="stable")[-capacity:]  # ties: by index
-        order = order[last[order] > -np.inf]
+        # sort only the times at or above the capacity-th largest, ties included
+        cut = np.partition(last, last.size - capacity)[last.size - capacity]
+        top = np.flatnonzero((last >= cut) & (last > -np.inf))
+        order = top[np.argsort(last[top], kind="stable")][-capacity:]  # ties: by index
         latest = np.full(last.size, -1, dtype=np.int64)
         latest[order] = np.arange(order.size)
         self.latest = latest.tolist()

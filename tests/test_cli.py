@@ -122,6 +122,14 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert cli.main(["--config", str(bad), "solve-ct"]) == 2
 
+    @pytest.mark.parametrize("command", ["solve-ct", "ttl-hit", "simulate", "limit",
+                                         "convergence-sweep", "check-assumptions"])
+    def test_top_level_list_is_2(self, tmp_path, capsys, command):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]")
+        assert cli.main(["--config", str(bad), command]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+
     def test_semantic_config_error_is_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {"cache": {"policy": "lru", "capacity": 60}})
         assert cli.main(["--config", path, "solve-ct"]) == 2

@@ -10,7 +10,7 @@ from ttlapprox.distributions import (Erlang, Exponential, Gamma, Hyperexponentia
                                      check_smoothness, distribution_from_config)
 from ttlapprox.errors import ConfigError
 
-from oracles import ccdf_mp, gamma_laws_mp, trapezoid_age_cdf
+from oracles import ccdf_mp, envelope_mp, gamma_laws_mp, trapezoid_age_cdf
 
 ALL_FAMILIES = [
     Exponential(1.3),
@@ -283,7 +283,30 @@ class TestStandardize:
             assert d.scaled_to_mean(0.25).mean == pytest.approx(0.25, rel=1e-12)
 
 
+ENVELOPES = {
+    "gamma2.5-weibull1.4": [Gamma(2.5, 2.5), Weibull(1.4, 1.0)],
+    "gamma0.7-gamma2.5": [Gamma(0.7, 0.7), Gamma(2.5, 2.5)],
+    "exp-gamma2.5-lomax2.5": [Exponential(1.0), Gamma(2.5, 2.5), ParetoLomax(2.5, 1.5)],
+    "lomax1.05": [ParetoLomax(1.05, 1.0)],
+    "lomax1.2": [ParetoLomax(1.2, 1.0)],
+    "lomax1.5": [ParetoLomax(1.5, 1.0)],
+}
+
+
 class TestEnvelope:
+    @pytest.mark.parametrize("members", ENVELOPES.values(), ids=ENVELOPES.keys())
+    def test_against_mpmath_oracle(self, members):
+        # mean, age cdf and age quantile to 1e-10 (quad's mean of the
+        # first pair was 6.6e-7 off)
+        psi = MaxEnvelope(members)
+        ts = [0.3, 1.0, 2.5]
+        us = [0.1, 0.5, 0.9]
+        qs = [psi.age_quantile(u) for u in us]
+        mean, ages = envelope_mp(psi.members, ts + qs)
+        assert abs(psi.mean - mean) <= 1e-10
+        assert np.max(np.abs(psi.age_cdf(np.array(ts)) - ages[:3])) <= 1e-10
+        assert np.max(np.abs(np.array(us) - ages[3:])) <= 1e-10
+
     def test_all_exponential_degenerate(self):
         rep = check_envelope([Exponential(r) for r in (0.2, 1.0, 7.0)], Exponential(1.0))
         assert rep.holds

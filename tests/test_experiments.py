@@ -1,10 +1,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ttlapprox
 from ttlapprox.distributions import Exponential, Gamma, MaxEnvelope
 from ttlapprox.errors import ConfigError
 from ttlapprox.experiments import (EMIT_COLUMNS, AssumptionParams, SweepSpec,
@@ -83,6 +89,31 @@ class TestCheckAssumptions:
                                 AssumptionParams(kappa1=1.5, kappa2=0.0, gamma=0.2))
         assert rep.envelope.holds
         assert rep.envelope.m_psi < 1.0
+
+
+class TestImports:
+    def test_package_loads_only_scipy_special(self):
+        # the tests import scipy.stats themselves, so a fresh interpreter checks
+        code = textwrap.dedent("""
+            import sys
+            import ttlapprox
+            from ttlapprox.approx import tn_bracket
+            from ttlapprox.distributions import Gamma, MaxEnvelope, Weibull
+            from ttlapprox.experiments import AssumptionParams, check_assumptions
+            from ttlapprox.popularity import ZipfLaw, build_catalog
+            members = [Gamma(2.5, 2.5), Weibull(1.4, 1.0)]
+            cat = build_catalog(ZipfLaw(0.8), 200, 200.0,
+                                [(0.5, members[0]), (0.5, members[1])])
+            psi = MaxEnvelope(members)
+            check_assumptions(cat, 60.0, psi,
+                              AssumptionParams(kappa1=1.5, kappa2=0.0, gamma=0.2))
+            tn_bracket(cat, 60.0, psi)
+            print(sorted({"scipy.integrate", "scipy.optimize"} & set(sys.modules)))
+        """)
+        env = {**os.environ, "PYTHONPATH": str(Path(ttlapprox.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestEmit:
