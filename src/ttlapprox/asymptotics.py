@@ -172,8 +172,6 @@ def solve_nu0(model: AsymptoticModel) -> Nu0Result:
 
 def hit_limit(model: AsymptoticModel, nu0: float | None = None) -> float:
     """Limiting aggregate hit probability of the LRU cache."""
-    if nu0 is None:
-        nu0 = solve_nu0(model).nu0
     return math.fsum(hit_limit_by_class(model, nu0))
 
 
@@ -221,13 +219,9 @@ def rate_curve(kind: str, C: float):
     Ca = np.asarray(C, dtype=float)
     if np.any(Ca <= 1):
         raise ConfigError("C must exceed 1")
-    base = np.log(Ca) / Ca
-    if kind == "quartic":
-        out = base ** 0.25
-    elif kind == "sqrt":
-        out = base ** 0.5
-    else:
+    if kind not in ("quartic", "sqrt"):
         raise ConfigError(f"unknown rate curve kind {kind!r}; use 'quartic' or 'sqrt'")
+    out = (np.log(Ca) / Ca) ** (0.25 if kind == "quartic" else 0.5)
     return float(out) if out.ndim == 0 else out
 
 

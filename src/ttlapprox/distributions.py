@@ -195,7 +195,7 @@ class InterRequestDistribution:
 
     def _scaled(self, factor: float) -> "InterRequestDistribution":
         """Return the same shape of distribution with all times multiplied by factor."""
-        raise NotImplementedError
+        raise ConfigError(f"{type(self).__name__} cannot be rescaled, so it cannot be a class law")
 
     # --- shared surface ---------------------------------------------------
 
@@ -421,20 +421,24 @@ class Weibull(InterRequestDistribution):
     def mean(self):
         return self.scale * math.gamma(1.0 + 1.0 / self.shape)
 
+    def _power(self, t):  # inf past the float range, where every kernel is at its limit
+        with np.errstate(over="ignore"):
+            return np.power(t / self.scale, self.shape)
+
     def _cdf(self, t):
-        return -np.expm1(-np.power(t / self.scale, self.shape))
+        return -np.expm1(-self._power(t))
 
     def _ccdf(self, t):
-        return np.exp(-np.power(t / self.scale, self.shape))
+        return np.exp(-self._power(t))
 
     def _pdf(self, t):
         z = t / self.scale
-        return (self.shape / self.scale) * np.power(z, self.shape - 1.0) * np.exp(-np.power(z, self.shape))
+        return (self.shape / self.scale) * np.power(z, self.shape - 1.0) * np.exp(-self._power(t))
 
     def _age_cdf_ccdf(self, t):
         # same partial-expectation identity; E[X; X<=t] reduces to a lower
         # incomplete gamma in (t/scale)^shape, and both share exp(-z)
-        z = np.power(t / self.scale, self.shape)
+        z = self._power(t)
         ccdf = np.exp(-z)
         part = t * ccdf + self.mean * sc.gammainc(1.0 + 1.0 / self.shape, z)
         return np.minimum(part / self.mean, 1.0), ccdf
@@ -645,9 +649,7 @@ class MaxEnvelope(InterRequestDistribution):
         return np.maximum.reduce([m._cdf(t) for m in self.members])
 
     def _ccdf(self, t):
-        # a member's power of a huge t may overflow; its ccdf there is 0
-        with np.errstate(over="ignore"):
-            return np.minimum.reduce([m._ccdf(t) for m in self.members])
+        return np.minimum.reduce([m._ccdf(t) for m in self.members])
 
     def _integrand(self, u):
         """ccdf(t) dt/du at t = expm1(u / (1 - u)); 0 past t = e^700."""
@@ -721,14 +723,6 @@ class SmoothnessReport:
     uniform_lipschitz_M: float | None
 
 
-def _density_bounded(d) -> bool:
-    if isinstance(d, Gamma):
-        return d.shape >= 1.0
-    if isinstance(d, Weibull):
-        return d.shape >= 1.0
-    return True  # exponential, erlang, hyperexponential, lomax
-
-
 def _sup_t_pdf(d) -> float:
     # maximize t*pdf(t): log-grid scan, then a linear rescan of the bracket
     # around the best point (2.8 % of t wide: value error ~1e-10 relative)
@@ -758,9 +752,8 @@ def check_smoothness(family, rho: float) -> SmoothnessReport:
             dn = np.abs(base - d.cdf(t_grid * (1.0 - x))) / x
             B = max(B, float(up.max()), float(dn.max()))
     b0 = max(_sup_t_pdf(d) for d in std)
-    if all(_density_bounded(d) for d in std):
-        M = max(float(np.max(d.pdf(np.geomspace(1e-10, 1e3, 2000)))) for d in std)
-        M = max(M, max(float(d.pdf(1e-12)) for d in std))
-    else:
-        M = None
+    M = None
+    if all(not isinstance(d, (Gamma, Weibull)) or d.shape >= 1.0 for d in std):  # bounded pdfs
+        M = max(max(float(np.max(d.pdf(np.geomspace(1e-10, 1e3, 2000)))), float(d.pdf(1e-12)))
+                for d in std)
     return SmoothnessReport(B=B, rho=rho, b0=b0, uniform_lipschitz_M=M)

@@ -22,7 +22,7 @@ from . import approx, asymptotics, simulator
 from .densities import PowerLawDensity
 from .distributions import check_envelope, check_smoothness
 from .errors import ConfigError, NumericsError
-from .popularity import ZipfLaw, build_catalog, check_P1
+from .popularity import P1Report, ZipfLaw, build_catalog, check_P1
 
 __all__ = [
     "SweepSpec",
@@ -86,19 +86,16 @@ class ConvergenceRow:
 def _fagin_reference(spec: SweepSpec) -> object | None:
     """Limit model for the sweep workload when one exists (single-class
     Zipf with exponent < 1)."""
-    law = spec.law
-    if not isinstance(law, ZipfLaw) or not law.alpha < 1.0:
+    law, fam = spec.law, spec.family_assignment
+    if not (isinstance(law, ZipfLaw) and law.alpha < 1.0 and hasattr(fam, "standardize")):
         return None
-    fam = spec.family_assignment
-    if not hasattr(fam, "standardize"):
-        return None
-    density = PowerLawDensity(1.0 - law.alpha, law.alpha) if law.alpha > 0 \
-        else PowerLawDensity(1.0, 0.0)
+    density = PowerLawDensity(1.0 - law.alpha, law.alpha)  # constant 1 at alpha = 0
     cls = asymptotics.ModelClass(1.0, density, fam.standardize())
     return asymptotics.AsymptoticModel((cls,), spec.beta)
 
 
-def _row_for_n(spec: SweepSpec, n: int, fagin: float | None, workers) -> ConvergenceRow:
+def _row_config(spec: SweepSpec, n: int):
+    """(characteristic time, timer-cache hits, LRU simulation config) at n."""
     C = int(round(spec.beta * n))
     total_rate = float(n) if spec.total_rate is None else spec.total_rate
     catalog = build_catalog(spec.law, n, total_rate, spec.family_assignment)
@@ -109,23 +106,26 @@ def _row_for_n(spec: SweepSpec, n: int, fagin: float | None, workers) -> Converg
         catalog=catalog, policy=simulator.LRU(C),
         horizon_events=warm + spec.events_per_point, warmup_events=warm,
         seed=spec.seed, replications=spec.replications)
-    report = simulator.replicate(config, workers=workers)
-    mean_reqs = report.requests / spec.replications
-    frequent = mean_reqs >= spec.cutoff_requests
+    return ct, ttl, config
+
+
+def _row(spec: SweepSpec, fagin: float | None, ct, ttl, config, report) -> ConvergenceRow:
+    if isinstance(report, Exception):
+        raise report
+    n, C = config.catalog.n, config.policy.capacity
+    frequent = report.requests / spec.replications >= spec.cutoff_requests
     measured = int(frequent.sum())
     if measured == 0:
         raise NumericsError(f"no content reached the {spec.cutoff_requests} request cutoff")
     gaps = np.abs(report.hit_ratio - ttl.per_content)
-    gap_vals = np.where(frequent, gaps, -np.inf)
-    imax = int(np.argmax(gap_vals))
-    gap_max = float(gaps[imax])
+    imax = int(np.argmax(np.where(frequent, gaps, -np.inf)))
     stderr_max = float(report.hit_ratio_stderr[imax]) if report.hit_ratio_stderr is not None \
         else float("nan")
     gap_agg = abs(report.aggregate_hit - ttl.aggregate)
     stderr_agg = report.aggregate_stderr if report.aggregate_stderr is not None else float("nan")
     return ConvergenceRow(
         n=n, C_n=C, T_n=ct.t,
-        gap_max=gap_max, gap_aggregate=gap_agg,
+        gap_max=float(gaps[imax]), gap_aggregate=gap_agg,
         stderr_max=stderr_max, stderr_agg=stderr_agg,
         fagin_limit=fagin,
         curve_quartic=asymptotics.rate_curve("quartic", C),
@@ -134,25 +134,39 @@ def _row_for_n(spec: SweepSpec, n: int, fagin: float | None, workers) -> Converg
         aggregate_hit_sim=report.aggregate_hit, aggregate_hit_ttl=ttl.aggregate)
 
 
+def _failed_row(spec: SweepSpec, n: int, fagin: float | None, exc: Exception) -> ConvergenceRow:
+    nan = float("nan")
+    C = int(round(spec.beta * n))
+    return ConvergenceRow(
+        n=n, C_n=C, T_n=nan, gap_max=nan, gap_aggregate=nan,
+        stderr_max=nan, stderr_agg=nan, fagin_limit=fagin,
+        curve_quartic=asymptotics.rate_curve("quartic", C) if C > 1 else nan,
+        curve_sqrt=asymptotics.rate_curve("sqrt", C) if C > 1 else nan,
+        status=f"failed: {exc}")
+
+
 def convergence_sweep(spec: SweepSpec, workers: int | None = None) -> list[ConvergenceRow]:
     """One row per n; solver or simulator failures mark the row and the
-    sweep continues."""
+    sweep continues.
+
+    Every row is set up first (catalog, solve, prediction); then all
+    replications of all rows run in one process pool.
+    """
     model = _fagin_reference(spec)
     fagin = asymptotics.hit_limit(model) if model is not None else None
-    rows = []
+    rows, ready = {}, {}
     for n in spec.n_values:
         try:
-            rows.append(_row_for_n(spec, n, fagin, workers))
+            ready[n] = _row_config(spec, n)
         except (ConfigError, NumericsError) as exc:
-            nan = float("nan")
-            C = int(round(spec.beta * n))
-            rows.append(ConvergenceRow(
-                n=n, C_n=C, T_n=nan, gap_max=nan, gap_aggregate=nan,
-                stderr_max=nan, stderr_agg=nan, fagin_limit=fagin,
-                curve_quartic=asymptotics.rate_curve("quartic", C) if C > 1 else nan,
-                curve_sqrt=asymptotics.rate_curve("sqrt", C) if C > 1 else nan,
-                status=f"failed: {exc}"))
-    return rows
+            rows[n] = _failed_row(spec, n, fagin, exc)
+    reports = simulator._replicate_all([config for *_, config in ready.values()], workers)
+    for (n, setup), report in zip(ready.items(), reports):
+        try:
+            rows[n] = _row(spec, fagin, *setup, report)
+        except (ConfigError, NumericsError) as exc:
+            rows[n] = _failed_row(spec, n, fagin, exc)
+    return [rows[n] for n in spec.n_values]
 
 
 @dataclass(frozen=True)
@@ -199,11 +213,9 @@ def check_assumptions(catalog, C: float, psi, params: AssumptionParams) -> Assum
     except ConfigError:
         # kappa1*C beyond the catalog: the tail there is empty, so the
         # inequality cannot hold; report the failure instead of raising
-        from .popularity import P1Report
         p1 = P1Report(kappa1=params.kappa1, kappa2=params.kappa2, gamma=params.gamma,
-                      cache_size=C, lhs=0.0,
-                      rhs=params.gamma * catalog.tail(int(params.kappa2 * C)),
-                      holds=False)
+                      cache_size=C, lhs=0.0, holds=False,
+                      rhs=params.gamma * catalog.tail(int(params.kappa2 * C)))
     beta1 = params.beta1 if params.beta1 is not None else C / catalog.n
     holds = (C <= beta1 * catalog.n + 1e-12) and (beta1 < env.m_psi)
     c1 = C1Report(beta1=beta1, m_psi=env.m_psi, n=catalog.n, C=C,

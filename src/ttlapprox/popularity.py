@@ -69,10 +69,7 @@ class DensityLaw:
 def _suffix_tail(p_sorted: np.ndarray) -> np.ndarray:
     # extended precision keeps million-entry suffix sums at ~1e-16 error
     rev = np.cumsum(p_sorted[::-1].astype(np.longdouble))[::-1]
-    tail = np.empty(p_sorted.size + 1)
-    tail[:-1] = rev.astype(float)
-    tail[-1] = 0.0
-    return tail
+    return np.append(rev.astype(float), 0.0)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,11 @@ matches the request-average definition of hit probability.
 
 One engine serves both policies.  It cuts time into windows of about
 2**14 expected requests; in each window the contents whose next request
-falls inside draw their gaps in one vectorized call per class, a
-segmented cumulative sum turns the gaps into request times, and the
-window's requests are merged in time order (ties broken by content
+falls inside draw their gaps in one vectorized call per class.  One
+cumulative sum runs over all of these gaps; less its value before a
+content's first gap, it gives that content's request times from its
+pending one, and the times before the window's end are a prefix of them.
+The window's requests are merged in time order (ties broken by content
 index).  LRU depends on this merged sequence alone (the stack view of
 Mattson et al. 1970): the cache holds the contents whose latest request
 lies at or after a pointer into the sequence that only moves forward, so
@@ -21,14 +23,15 @@ at most the timer earlier.
 
 A window that lies wholly inside the warmup still draws its gaps, from
 the same stream, but is neither merged nor scanned.  The cache at any
-moment is the C most recently requested contents, so at the first
-window with a measured request the LRU starts from each content's latest
-request time, with the hit flags the full scan would have given.
+moment is the C most recently requested contents, so the LRU starts at
+the first measured request, from each content's latest request before
+it, and no earlier request is scanned.
 
 A single run is strictly sequential and draws all its randomness from one
 Philox stream keyed by (seed, replication); parallelism exists only across
-replications, whose results are merged in replication order so reports
-are reproducible bit for bit from (config, seed).
+replications, all of which (every row of a sweep) share one process pool,
+and whose results are merged in replication order so reports are
+reproducible bit for bit from (config, seed).
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericsError
 from .popularity import ContentCatalog
 
 __all__ = [
@@ -84,10 +87,9 @@ class SimulationConfig:
 
     ``tau_stride`` > 0 samples the reuse-window width at every stride-th
     post-warmup request (LRU only).  ``check_invariants`` checks the LRU
-    state at the end of every window from the first measured one on (the
-    windows wholly inside the warmup are neither merged nor scanned): its
-    cached contents number exactly its count, and no more than the
-    capacity.
+    state at the end of every window from the first measured one on (no
+    request before the first measured one is scanned): its cached
+    contents number exactly its count, and no more than the capacity.
     """
 
     catalog: ContentCatalog
@@ -116,12 +118,10 @@ class SimulationConfig:
             raise ConfigError("horizon_events must be >= 1")
         if self.horizon_time is not None and self.horizon_time <= 0:
             raise ConfigError("horizon_time must be positive")
-        if self.warmup_events is not None and self.horizon_events is not None \
-                and self.warmup_events >= self.horizon_events:
-            raise ConfigError("horizon must exceed warmup")
-        if self.warmup_time is not None and self.horizon_time is not None \
-                and self.warmup_time >= self.horizon_time:
-            raise ConfigError("horizon must exceed warmup")
+        for warm, horizon in ((self.warmup_events, self.horizon_events),
+                              (self.warmup_time, self.horizon_time)):
+            if warm is not None and horizon is not None and warm >= horizon:
+                raise ConfigError("horizon must exceed warmup")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if self.tau_stride < 0:
@@ -149,9 +149,7 @@ class SimulationReport:
 
     @property
     def hit_ratio(self) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            return np.where(self.requests > 0, self.hits / np.maximum(self.requests, 1),
-                            np.nan)
+        return np.where(self.requests > 0, self.hits / np.maximum(self.requests, 1), np.nan)
 
     @property
     def total_requests(self) -> int:
@@ -174,11 +172,6 @@ class SimulationReport:
         return float(np.mean((s < low) | (s > high)))
 
 
-def _replication_rng(seed: int, replication: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(replication,))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 def init_stationary(catalog: ContentCatalog, seed: int, replication: int = 0):
     """Streams of all contents started in the stationary regime.
 
@@ -188,7 +181,8 @@ def init_stationary(catalog: ContentCatalog, seed: int, replication: int = 0):
     ages in one call from its standardized law, divided by the contents'
     rates; this is exact because every family is a scale family.
     """
-    rng = _replication_rng(seed, replication)
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=seed, spawn_key=(replication,))))
     arrivals = np.empty(catalog.n)
     for dist, idx in catalog.groups:
         arrivals[idx] = dist.sample_age_batch(rng, idx.size) / catalog.rates[idx]
@@ -221,35 +215,34 @@ def _window_draws(rates, groups, nxt, last, rng, t1):
     the unused gaps is exact; the rare content whose gaps all fall inside
     the window draws again.  Advances nxt (each content's first request at
     or after t1) and last (its latest request before t1).  Returns (times,
-    ids, prev) grouped by content, not in time order; prev is the same
-    content's previous request time, -inf before its first.
+    ids, prev), not in time order; prev is the same content's previous
+    request time, -inf before its first.
     """
     parts = []
     for dist, idx in groups:
         todo = idx[nxt[idx] < t1]
         while todo.size:
-            rate = rates[todo]
-            m = rate * (t1 - nxt[todo])
+            rate, pending = rates[todo], nxt[todo]
+            m = rate * (t1 - pending)
             k = np.ceil(m + 3.0 * np.sqrt(m) + 2.0).astype(np.int64)
-            # one segment per content: a zero step, then its k gaps, so a
-            # cumulative sum restarted at each segment gives offsets from nxt
-            ends = np.cumsum(k + 1)
-            starts = ends - k - 1
-            steps = np.zeros(ends[-1])
-            is_gap = np.ones(ends[-1], dtype=bool)
-            is_gap[starts] = False
-            steps[is_gap] = dist.sample_inter_batch(rng, int(k.sum())) / np.repeat(rate, k)
-            run = np.cumsum(steps)
-            t = np.repeat(nxt[todo], k + 1) + (run - np.repeat(run[starts], k + 1))
+            # one cumulative sum over all the contents' gaps; each content's
+            # offsets from its pending request subtract the sum before it
+            ends = np.cumsum(k)
+            starts = ends - k
+            run = np.cumsum(dist.sample_inter_batch(rng, int(ends[-1])) / np.repeat(rate, k))
+            base = np.concatenate(([0.0], run[ends[:-1] - 1]))
+            t = np.repeat(pending, k) + (run - np.repeat(base, k))
             keep = t < t1
-            keep[ends - 1] = False  # the last time of a segment stays pending
-            count = np.add.reduceat(keep, starts, dtype=np.int64)
-            prev = np.empty_like(t)
-            prev[1:] = t[:-1]
-            prev[starts] = last[todo]
-            parts.append((t[keep], np.repeat(todo, k + 1)[keep], prev[keep]))
-            last[todo] = t[starts + count - 1]
-            nxt[todo] = t[starts + count]
+            keep[ends - 1] = False  # a content's last time stays pending
+            kept = np.add.reduceat(keep, starts, dtype=np.int64)  # a prefix: times increase
+            times = t[keep]
+            prev = np.empty_like(times)
+            prev[1:] = times[:-1]
+            some = kept > 0
+            prev[(np.cumsum(kept) - kept)[some]] = pending[some]
+            parts += [(pending, todo, last[todo]), (times, np.repeat(todo, kept), prev)]
+            last[todo] = np.where(some, t[starts + kept - 1], pending)
+            nxt[todo] = t[starts + kept]
             todo = todo[nxt[todo] < t1]
     if not parts:
         return np.empty(0), np.empty(0, dtype=np.int64), np.empty(0)
@@ -264,11 +257,6 @@ def _merged(times, ids, prev):
         order = np.lexsort((ids, times))
         ordered = times[order]
     return ordered, ids[order], prev[order]
-
-
-def _window_requests(rates, groups, nxt, last, rng, t1):
-    """``_window_draws`` merged: (times, ids, prev) in time order."""
-    return _merged(*_window_draws(rates, groups, nxt, last, rng, t1))
 
 
 class _Lru:
@@ -381,11 +369,11 @@ def _simulate(config: SimulationConfig, replication: int, trace=None):
     taus = []
     done = measured = window = 0
     t_start = None
-    now = t1 = 0.0
+    now = 0.0
     final = False
     while not final:
         window += 1
-        t0, t1 = t1, window * width
+        t1 = window * width
         times, ids, prev = _window_draws(catalog.rates, catalog.groups, nxt, last, rng, t1)
         if config.horizon_time is not None:
             final = config.horizon_time < t1
@@ -395,39 +383,38 @@ def _simulate(config: SimulationConfig, replication: int, trace=None):
                 warm_ev - done, int(np.count_nonzero(times < warm_t))):
             done += times.size  # wholly inside the warmup: neither merged nor scanned
             continue
-        if lru is None and isinstance(policy, LRU):
-            # each content's latest request before t0: a request whose
-            # previous one is before t0 is its content's first in the window
-            start = last.copy()
-            before = prev < t0
-            start[ids[before]] = prev[before]
-            lru = _Lru(start, policy.capacity)
         times, ids, prev = _merged(times, ids, prev)
         if config.horizon_time is not None:
             size = int(np.searchsorted(times, config.horizon_time, side="right"))
         else:
             size = min(times.size, config.horizon_events - done)
-        times, ids, prev = times[:size], ids[:size], prev[:size]
         first = 0
         if t_start is None:
             first = min(size, max(warm_ev - done, int(np.searchsorted(times, warm_t))))
             if first < size:
                 t_start = float(times[first])
+            if isinstance(policy, LRU):
+                # each content's latest request before the first measured
+                # one: the prev of its next request, else its latest drawn
+                start = last.copy()
+                at = first + np.unique(ids[first:], return_index=True)[1]
+                start[ids[at]] = prev[at]
+                lru = _Lru(start, policy.capacity)
+        times, ids, prev = times[first:size], ids[first:size], prev[first:size]
         if lru is not None:
-            first_tau = first + (-measured) % stride if stride else 0
+            first_tau = (-measured) % stride if stride else 0
             hit = lru.window(ids.tolist(), times.tolist() if stride else None,
                              first_tau, stride, config.check_invariants, taus)
         else:
             hit = times - prev <= policy.timer
-        seen, seen_hit = ids[first:], hit[first:]
-        reqs += np.bincount(seen, minlength=n)
-        hits += np.bincount(seen[seen_hit], minlength=n)
+        reqs += np.bincount(ids, minlength=n)
+        hits += np.bincount(ids[hit], minlength=n)
         if trace is not None:
-            for event in zip(times[first:].tolist(), seen.tolist(), seen_hit.tolist()):
+            for event in zip(times.tolist(), ids.tolist(), hit.tolist()):
                 trace(*event)
         measured += size - first
         done += size
-        if size:
+        if times.size:
             now = float(times[-1])
     elapsed = now - t_start if t_start is not None else 0.0
     return reqs, hits, elapsed, np.asarray(taus, dtype=float)
@@ -444,50 +431,65 @@ def run(config: SimulationConfig, replication: int = 0, trace=None) -> Simulatio
                             tau_samples=taus, replications=1)
 
 
-def _replicate_worker(args):
-    config, rep = args
-    return run(config, replication=rep)
+def _replicate_worker(job):
+    config, rep = job
+    try:
+        return run(config, replication=rep)
+    except (ConfigError, NumericsError) as exc:  # fails its own config alone
+        return exc
 
 
 def replicate(config: SimulationConfig, workers: int | None = None) -> SimulationReport:
     """Run all replications and aggregate; deterministic in (config, seed).
+    The one-config case of ``_replicate_all``."""
+    (report,) = _replicate_all([config], workers)
+    if isinstance(report, Exception):
+        raise report
+    return report
 
-    Replications execute concurrently when workers > 1, but results are
-    always merged in replication order.
+
+def _replicate_all(configs, workers: int | None = None) -> list:
+    """Each config's merged report, or the ConfigError or NumericsError of
+    its first failing replication.
+
+    The replications of all configs run in one process pool when workers
+    > 1, the longest first; each config's results are merged in
+    replication order, so the reports do not depend on the workers.
     """
-    R = config.replications
+    cost = [c.horizon_events or c.horizon_time * c.catalog.total_rate for c in configs]
+    keys = sorted(((i, rep) for i, c in enumerate(configs) for rep in range(c.replications)),
+                  key=lambda key: -cost[key[0]])
+    jobs = [(configs[i], rep) for i, rep in keys]
     if workers is None:
-        workers = min(R, os.cpu_count() or 1)
-    if R == 1:
-        return run(config)
-    jobs = [(config, rep) for rep in range(R)]
-    if workers <= 1:
-        results = [_replicate_worker(j) for j in jobs]
+        workers = min(len(jobs), os.cpu_count() or 1)
+    if workers <= 1 or len(jobs) <= 1:
+        results = [_replicate_worker(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replicate_worker, jobs, chunksize=1))
-    n = config.catalog.n
-    reqs = np.zeros(n, dtype=np.int64)
-    hits = np.zeros(n, dtype=np.int64)
-    ratios = np.full((R, n), np.nan)
-    agg = np.empty(R)
-    taus = []
-    elapsed = 0.0
-    for r, rep in enumerate(results):
-        reqs += rep.requests
-        hits += rep.hits
-        ratios[r] = rep.hit_ratio
-        agg[r] = rep.aggregate_hit
-        taus.append(rep.tau_samples)
-        elapsed += rep.elapsed_time
+    by_key = dict(zip(keys, results))
+    return [_merge([by_key[i, rep] for rep in range(c.replications)])
+            for i, c in enumerate(configs)]
+
+
+def _merge(results):
+    """One config's replication reports merged, in replication order."""
+    failed = [r for r in results if isinstance(r, Exception)]
+    if failed or len(results) == 1:
+        return (failed or results)[0]
+    R = len(results)
+    ratios = np.array([r.hit_ratio for r in results])
+    agg = np.array([r.aggregate_hit for r in results])
     # contents with fewer than 2 finite per-replication ratios have no stderr
     counts = np.sum(np.isfinite(ratios), axis=0)
     some = counts > 1
-    stderr = np.full(n, np.nan)
+    stderr = np.full(ratios.shape[1], np.nan)
     stderr[some] = np.nanstd(ratios[:, some], axis=0, ddof=1) / np.sqrt(counts[some])
     return SimulationReport(
-        requests=reqs, hits=hits, elapsed_time=elapsed,
-        tau_samples=np.concatenate(taus) if taus else np.empty(0),
+        requests=np.sum([r.requests for r in results], axis=0),
+        hits=np.sum([r.hits for r in results], axis=0),
+        elapsed_time=float(np.cumsum([r.elapsed_time for r in results])[-1]),  # added in order
+        tau_samples=np.concatenate([r.tau_samples for r in results]),
         replications=R,
         hit_ratio_stderr=stderr,
         aggregate_stderr=float(np.std(agg, ddof=1) / np.sqrt(R)),

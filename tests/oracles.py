@@ -85,6 +85,46 @@ def ordered_dict_lru(ids, times, capacity, first=0, stride=0):
     return np.array(hits), np.array(taus, dtype=float)
 
 
+def segmented_window_draws(rates, groups, nxt, last, rng, t1):
+    """The simulator's former window draws: one segment per content, a zero
+    step and then its gaps, turned into times by a cumulative sum over all
+    segments from which each segment's start value is subtracted.
+
+    Same contract as ``simulator._window_draws``: draws
+    ceil(m + 3 sqrt(m) + 2) gaps per content whose next request is before
+    t1 (again while all of them fall inside), advances nxt and last in
+    place, and returns (times, ids, prev) grouped by content.
+    """
+    parts = []
+    for dist, idx in groups:
+        todo = idx[nxt[idx] < t1]
+        while todo.size:
+            rate = rates[todo]
+            m = rate * (t1 - nxt[todo])
+            k = np.ceil(m + 3.0 * np.sqrt(m) + 2.0).astype(np.int64)
+            ends = np.cumsum(k + 1)
+            starts = ends - k - 1
+            steps = np.zeros(ends[-1])
+            is_gap = np.ones(ends[-1], dtype=bool)
+            is_gap[starts] = False
+            steps[is_gap] = dist.sample_inter_batch(rng, int(k.sum())) / np.repeat(rate, k)
+            run = np.cumsum(steps)
+            t = np.repeat(nxt[todo], k + 1) + (run - np.repeat(run[starts], k + 1))
+            keep = t < t1
+            keep[ends - 1] = False  # the last time of a segment stays pending
+            count = np.add.reduceat(keep, starts, dtype=np.int64)
+            prev = np.empty_like(t)
+            prev[1:] = t[:-1]
+            prev[starts] = last[todo]
+            parts.append((t[keep], np.repeat(todo, k + 1)[keep], prev[keep]))
+            last[todo] = t[starts + count - 1]
+            nxt[todo] = t[starts + count]
+            todo = todo[nxt[todo] < t1]
+    if not parts:
+        return np.empty(0), np.empty(0, dtype=np.int64), np.empty(0)
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
 def bisection_characteristic_time(occupancy, C, lo=0.0, hi=None, iters=1000):
     """Plain bisection on occupancy(T) = C with a doubling upper bracket."""
     if hi is None:

@@ -190,6 +190,18 @@ class TestSupportLimits:
                 assert got[1] == f(d.mean)
 
 
+    @pytest.mark.parametrize("shape", [0.7, 1.4])
+    def test_weibull_past_the_float_range_of_its_power(self, shape):
+        # (t / scale)^shape overflows at 1.4; every kernel is at its limit
+        d = Weibull(shape, 1.0)
+        t = np.array([1e300, np.finfo(float).max])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f, limit in ((d.cdf, 1.0), (d.ccdf, 0.0), (d.pdf, 0.0), (d.age_cdf, 1.0)):
+                assert list(f(t)) == [limit, limit]
+                assert f(1e300) == limit
+
+
 class TestQuantiles:
     def test_exponential_age_quantile(self):
         assert Exponential(2.0).age_quantile(0.5) == pytest.approx(math.log(2) / 2, rel=1e-12)

@@ -45,6 +45,23 @@ class TestSweep:
         b = convergence_sweep(tiny_spec(), workers=2)
         assert a == b
 
+    # the most popular content makes about 6600, 5300 and 3300 requests per
+    # replication at n = 40, 80 and 400: only the last row misses the cutoff
+    PARTLY_FAILING = dict(cutoff_requests=4500.0, replications=3)
+
+    def test_failed_row_leaves_the_others_ok(self):
+        rows = convergence_sweep(tiny_spec(n_values=(40, 80, 400), **self.PARTLY_FAILING),
+                                 workers=2)
+        assert [r.status for r in rows[:2]] == ["ok", "ok"]
+        assert rows[2].status.startswith("failed: no content reached")
+        assert rows[:2] == convergence_sweep(tiny_spec(**self.PARTLY_FAILING), workers=2)
+
+    def test_rows_independent_of_workers(self):
+        # one pool runs every row's replications, longest first; a failed
+        # row's NaN cells compare equal through repr
+        spec = tiny_spec(n_values=(40, 80, 400), **self.PARTLY_FAILING)
+        assert repr(convergence_sweep(spec, workers=1)) == repr(convergence_sweep(spec, workers=2))
+
     def test_fagin_reference_present_for_sublinear_zipf(self):
         rows = convergence_sweep(tiny_spec(), workers=1)
         assert rows[0].fagin_limit is not None

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import zeta
 
 from ttlapprox.densities import PowerLawDensity
-from ttlapprox.distributions import Exponential, Gamma, Weibull
+from ttlapprox.distributions import Exponential, Gamma, MaxEnvelope, Weibull
 from ttlapprox.errors import ConfigError
 from ttlapprox.popularity import (ContentCatalog, DensityLaw, ZipfLaw, build_catalog,
                                   check_P1, zipf_popularity)
@@ -211,3 +211,9 @@ class TestBuildCatalog:
     def test_popularity_sums_to_one(self):
         cat = build_catalog(ZipfLaw(1.2), 10**5, 11.0, Exponential(1.0))
         assert math.fsum(cat.popularity) == pytest.approx(1.0, abs=1e-12)
+
+    def test_envelope_is_not_a_class(self):
+        psi = MaxEnvelope([Gamma(2.0, 2.0), Exponential(1.0)])
+        for family in (psi, [(0.5, psi), (0.5, Exponential(1.0))]):
+            with pytest.raises(ConfigError, match="MaxEnvelope"):
+                build_catalog(ZipfLaw(0.8), 10, 10.0, family)

@@ -9,10 +9,11 @@ from ttlapprox.approx import characteristic_time
 from ttlapprox.distributions import Exponential, Gamma, InterRequestDistribution, Weibull
 from ttlapprox.errors import ConfigError
 from ttlapprox.popularity import ContentCatalog, ZipfLaw, build_catalog
-from ttlapprox.simulator import (_WINDOW_EVENTS, LRU, TTL, SimulationConfig, _Lru,
-                                 _window_requests, init_stationary, replicate, run)
+from ttlapprox.simulator import (_WINDOW_EVENTS, LRU, TTL, SimulationConfig, _Lru, _merged,
+                                 _window_draws, init_stationary, replicate, run)
 
-from oracles import lru_irm_markov, lru_irm_product_form, ordered_dict_lru
+from oracles import (lru_irm_markov, lru_irm_product_form, ordered_dict_lru,
+                     segmented_window_draws)
 
 
 def exp_catalog(rates):
@@ -372,10 +373,62 @@ class TestWarmupRebuild:
         rep, times, _, first = check_against_ordered_dict_loop(
             ZIPF_RENEWAL, 600, 0, seed=47, warmup={"warmup_events": int(3.5 * _WINDOW_EVENTS)},
             horizon={"horizon_events": 6 * _WINDOW_EVENTS})
-        per_window = np.bincount((times // width).astype(np.int64))
         assert times[first] > 3 * width
-        # at most the measured requests and the head of their first window
-        assert sum(scanned) <= rep.total_requests + per_window.max()
+        assert sum(scanned) == rep.total_requests  # the measured requests alone
+
+
+class ShortGap(InterRequestDistribution):
+    """Test-only law declared unit-mean whose gaps average 1e-3, so a
+    content's gaps all fall inside the window and it draws again, about a
+    thousand times per window."""
+
+    mean = 1.0
+
+    def sample_inter_batch(self, rng, size):
+        return rng.exponential(1e-3, size)
+
+    def sample_age_batch(self, rng, size):
+        return rng.random(size)
+
+
+class TestWindowDraws:
+    """The window draws against the former segmented cumulative sum
+    (``segmented_window_draws``), from the same stream, window after
+    window: the same requests, the same pending state and the same RNG
+    state after every window."""
+
+    @pytest.mark.parametrize("catalog", [
+        build_catalog(ZipfLaw(0.8), 1000, 1000.0, Exponential(1.0)),
+        build_catalog(ZipfLaw(0.8), 16000, 16000.0, Exponential(1.0)),
+        ZIPF_RENEWAL,
+        TIED,
+    ], ids=["exponential-1000", "exponential-16000", "gamma-weibull", "constant-gap-ties"])
+    def test_same_requests_as_segmented_cumsum(self, catalog):
+        self.check(catalog, _WINDOW_EVENTS / catalog.total_rate, 20)
+
+    def test_redraws_when_every_gap_falls_inside(self):
+        cat = ContentCatalog(rates=np.ones(8), classes=(ShortGap(),),
+                             class_of=np.zeros(8, dtype=np.int64))
+        sizes = self.check(cat, 1.0, 20)
+        assert sum(sizes) > 100 * 8 * 20  # about 8 requests expected per window
+
+    @staticmethod
+    def check(catalog, width, windows):
+        (nxt, rng), (nxt0, rng0) = (init_stationary(catalog, seed=3) for _ in range(2))
+        last, last0 = np.full(catalog.n, -np.inf), np.full(catalog.n, -np.inf)
+        sizes = []
+        for w in range(1, windows + 1):
+            new = _window_draws(catalog.rates, catalog.groups, nxt, last, rng, w * width)
+            old = segmented_window_draws(catalog.rates, catalog.groups, nxt0, last0, rng0,
+                                         w * width)
+            (t, i, p), (t0, i0, p0) = (
+                tuple(a[np.lexsort(draws[::-1])] for a in draws) for draws in (new, old))
+            assert t.tobytes() == t0.tobytes() and p.tobytes() == p0.tobytes()
+            assert np.array_equal(i, i0)
+            assert nxt.tobytes() == nxt0.tobytes() and last.tobytes() == last0.tobytes()
+            assert repr(rng.bit_generator.state) == repr(rng0.bit_generator.state)  # has arrays
+            sizes.append(t.size)
+        return sizes
 
 
 class TestWindowMerge:
@@ -389,7 +442,7 @@ class TestWindowMerge:
         nxt, rng = init_stationary(cat, seed=0)
         last = np.full(cat.n, -np.inf)
         t1 = _WINDOW_EVENTS / cat.total_rate
-        times, ids, prev = _window_requests(cat.rates, cat.groups, nxt, last, rng, t1)
+        times, ids, prev = _merged(*_window_draws(cat.rates, cat.groups, nxt, last, rng, t1))
         assert times.size > _WINDOW_EVENTS // 2
         assert np.sum(np.diff(times) == 0) > times.size // 2
         assert np.array_equal(np.lexsort((ids, times)), np.arange(times.size))
