@@ -39,14 +39,16 @@ def _occupancy_and_slope(catalog: ContentCatalog, T: float) -> tuple[float, floa
     the age cdf and the ccdf of its contents together."""
     if not T >= 0:  # NaN fails this too
         raise ConfigError(f"T must be >= 0, got {T}")
-    if T == math.inf:  # every content resident, none missing: the kernels' limits
-        return float(catalog.n), 0.0
+    # rate_i*T past the float range (or T = inf): the public kernels take the limits
+    wide = float(catalog.rates[catalog.sorted_order[0]]) * float(T) == math.inf
     k, slope = [], []
     # scale-family identity: the age cdf (ccdf) of content i at T is the
     # class age cdf (ccdf) at rate_i*T
     for dist, idx in catalog.groups:
         rates = catalog.rates[idx]
-        age, ccdf = dist._age_cdf_ccdf(rates * T)
+        with np.errstate(over="ignore"):
+            x = rates * T
+        age, ccdf = (dist.age_cdf(x), dist.ccdf(x)) if wide else dist._age_cdf_ccdf(x)
         k.append(float(np.sum(age)))
         slope.append(float(np.sum(rates * ccdf)))
     return math.fsum(k), math.fsum(slope)
@@ -148,7 +150,9 @@ def ttl_hit(catalog: ContentCatalog, T: float) -> TtlHit:
         raise ConfigError(f"T must be >= 0, got {T}")
     per = np.empty(catalog.n)
     for dist, idx in catalog.groups:
-        per[idx] = dist.cdf(catalog.rates[idx] * T)
+        with np.errstate(over="ignore"):  # rate_i*T past the float range is inf, where cdf is 1
+            x = catalog.rates[idx] * T
+        per[idx] = dist.cdf(x)
     aggregate = float(np.dot(catalog.popularity, per))
     return TtlHit(per_content=per, aggregate=aggregate, timer=T)
 

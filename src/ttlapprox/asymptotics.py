@@ -26,7 +26,7 @@ import numpy as np
 
 from .densities import ConstantDensity, PowerLawDensity, TabulatedDensity
 from .distributions import _adaptive_gauss, _finite, monotone_newton
-from .errors import ConfigError
+from .errors import ConfigError, NumericsError
 from .popularity import ContentCatalog
 
 __all__ = [
@@ -211,7 +211,12 @@ def tn_asymptotic(model: AsymptoticModel, g_n: float, Lambda_n: float,
         raise ConfigError("g_n and Lambda_n must be positive")
     if nu0 is None:
         nu0 = solve_nu0(model).nu0
-    return nu0 / (g_n * Lambda_n)
+    scale = float(g_n) * float(Lambda_n)  # Python floats: inf or 0.0 past the range, no warning
+    t = float(nu0) / scale if scale > 0 else math.inf
+    if not math.isfinite(t):
+        raise NumericsError(f"nu0 / (g_n * Lambda_n) = {nu0!r} / ({g_n!r} * {Lambda_n!r}) "
+                            "is not a finite number")
+    return t
 
 
 def rate_curve(kind: str, C: float):

@@ -2,8 +2,9 @@
 
 Subcommands: solve-ct, ttl-hit, simulate, limit, convergence-sweep,
 check-assumptions.  All read a JSON config file (--config); see the
-README for the schema.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure.
+README for the schema.  Every config value is read through ``_get``, so a
+malformed one ends in a ConfigError that names its key path.  Exit codes:
+0 success, 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -18,12 +19,16 @@ from pathlib import Path
 import numpy as np
 
 from . import approx, asymptotics, experiments, simulator
-from .densities import density_from_config
+from .densities import ConstantDensity, PowerLawDensity, TabulatedDensity
 from .distributions import MaxEnvelope, distribution_from_config
 from .errors import ConfigError, NumericsError
 from .popularity import DensityLaw, ZipfLaw, build_catalog
 
 __all__ = ["main"]
+
+_REQUIRED = object()
+_KINDS = {int: "a 64-bit integer", float: "a finite number", dict: "a nonempty object",
+          list: "a nonempty list"}
 
 
 def _load_config(path):
@@ -41,74 +46,108 @@ def _load_config(path):
     return cfg
 
 
-def _law_from_config(spec):
-    if not isinstance(spec, dict) or len(spec) != 1:
-        raise ConfigError(f"malformed popularity config: {spec!r}")
-    kind, params = next(iter(spec.items()))
-    if kind == "zipf":
-        return ZipfLaw(float(params["alpha"]))
-    if kind == "density":
-        return DensityLaw(density_from_config(params))
-    raise ConfigError(f"unknown popularity law {kind!r}; known: zipf, density")
+def _join(path, key):
+    return f"{path}.{key}" if path else str(key)
 
 
-def _family_from_config(classes):
-    if not isinstance(classes, list) or not classes:
-        raise ConfigError("config key 'classes' must be a nonempty list")
+def _get(node, key, kind, default=_REQUIRED, path=""):
+    """node[key] read as kind: int, float, dict or list.
+
+    An int must be integral (50 and 50.0 pass) and fit 64 bits, a float
+    must be finite, a dict or list nonempty; a bool is not a number.  A
+    missing key gives ``default``.  ``path`` is the key path of node, so a
+    ConfigError names the full path of a missing or malformed value.
+    """
+    name = _join(path, key)
+    if isinstance(node, dict) and key not in node:
+        if default is _REQUIRED:
+            raise ConfigError(f"config key {name} is required")
+        return default
+    value = node[key]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int and number and value % 1 == 0 and -2**63 <= value < 2**63:
+        return int(value)
+    if kind is float and number and abs(value) <= sys.float_info.max:  # NaN fails this too
+        return float(value)
+    if kind in (dict, list) and isinstance(value, kind) and value:
+        return value
+    raise ConfigError(f"config key {name} must be {_KINDS[kind]}, got {value!r}")
+
+
+def _items(node, key, kind, path=""):
+    """The entries of the list node[key], each read as kind."""
+    items = _get(node, key, list, path=path)
+    return [_get(items, i, kind, path=_join(path, key)) for i in range(len(items))]
+
+
+def _distribution(node, key, path=""):
+    """The distribution config at node[key]; each param is read as a float
+    or a list of floats, and the family checks the rest."""
+    spec, path = _get(node, key, dict, path=path), _join(path, key)
+    params = _get(spec, "params", dict, {}, path)
+    params = {k: (_items if isinstance(v, list) else _get)(params, k, float, path=f"{path}.params")
+              for k, v in params.items()}
+    try:
+        return distribution_from_config(dict(spec, params=params))
+    except ConfigError as exc:
+        raise ConfigError(f"config key {path}: {exc}") from exc
+
+
+def _one_of(spec, path, table):
+    """A one-key object {kind: {params}} with kind in table: table[kind](params, their path)."""
+    if len(spec) != 1 or next(iter(spec)) not in table:
+        raise ConfigError(f"config key {path} must hold one key of {sorted(table)}, "
+                          f"got {sorted(spec)}")
+    (kind,) = spec
+    return table[kind](_get(spec, kind, dict, path=path), _join(path, kind))
+
+
+_DENSITIES = {
+    "constant": lambda p, path: ConstantDensity(_get(p, "c", float, path=path)),
+    "power": lambda p, path: PowerLawDensity(*(_get(p, k, float, path=path) for k in ("c", "alpha"))),
+    "tabulated": lambda p, path: TabulatedDensity(tuple(_items(p, "values", float, path))),
+}
+_LAWS = {
+    "zipf": lambda p, path: ZipfLaw(_get(p, "alpha", float, path=path)),
+    "density": lambda p, path: DensityLaw(_one_of(p, path, _DENSITIES)),
+}
+
+
+def _family_from_config(cfg):
+    classes = _items(cfg, "classes", dict)
     if len(classes) == 1 and "fraction" not in classes[0]:
-        return distribution_from_config(classes[0])
-    pairs = []
-    for c in classes:
-        if "fraction" not in c:
-            raise ConfigError("multi-class configs need a 'fraction' per class")
-        pairs.append((float(c["fraction"]), distribution_from_config(c)))
-    return pairs
+        return _distribution(classes, 0, "classes")
+    return [(_get(c, "fraction", float, path=f"classes.{i}"), _distribution(classes, i, "classes"))
+            for i, c in enumerate(classes)]
 
 
 def _catalog_from_config(cfg):
-    try:
-        n = int(cfg["n"])
-        law = _law_from_config(cfg["popularity"])
-        fam = _family_from_config(cfg["classes"])
-    except KeyError as exc:
-        raise ConfigError(f"config is missing key {exc}") from exc
-    total_rate = float(cfg.get("total_rate", n))
-    return build_catalog(law, n, total_rate, fam)
+    n = _get(cfg, "n", int)
+    law = _one_of(_get(cfg, "popularity", dict), "popularity", _LAWS)
+    fam = _family_from_config(cfg)
+    return build_catalog(law, n, _get(cfg, "total_rate", float, float(n)), fam)
 
 
 def _model_from_config(cfg):
-    try:
-        spec = cfg["limit"]
-        beta0 = float(spec["beta0"])
-        classes = spec["classes"]
-    except KeyError as exc:
-        raise ConfigError(f"limit config is missing key {exc}") from exc
+    spec = _get(cfg, "limit", dict)
+    beta0 = _get(spec, "beta0", float, path="limit")
     model_classes = []
-    for c in classes:
-        psi = distribution_from_config(c["psi"]).standardize()
+    for i, c in enumerate(_items(spec, "classes", dict, "limit")):
+        path = f"limit.classes.{i}"
+        psi = _distribution(c, "psi", path).standardize()
         model_classes.append(asymptotics.ModelClass(
-            float(c.get("weight", 1.0)), density_from_config(c["density"]), psi))
+            _get(c, "weight", float, 1.0, path),
+            _one_of(_get(c, "density", dict, path=path), f"{path}.density", _DENSITIES), psi))
     return asymptotics.AsymptoticModel(tuple(model_classes), beta0)
 
 
-def _psi_from_config(cfg, catalog):
-    spec = cfg.get("assumptions", {}).get("psi", "max")
-    if spec == "max":
-        return MaxEnvelope(list(catalog.classes))
-    return distribution_from_config(spec).standardize()
-
-
 def _to_jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _to_jsonable(v) for k, v in dataclasses.asdict(obj).items()}
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, float) and (obj != obj):
-        return None
+    if isinstance(obj, (float, np.floating)):  # NaN, an undefined value, is null
+        return None if obj != obj else float(obj)
     if isinstance(obj, dict):
         return {k: _to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -135,21 +174,10 @@ def _per_content_csv(catalog, hit, stream):
                     repr(float(catalog.popularity[i])), repr(float(hit[i]))))
 
 
-def _cache_spec(cfg, kind):
-    cache = cfg.get("cache", {})
-    if kind == "lru":
-        if "capacity" not in cache:
-            raise ConfigError("config key cache.capacity is required")
-        return int(cache["capacity"])
-    if "timer" not in cache:
-        raise ConfigError("config key cache.timer is required")
-    return float(cache["timer"])
-
-
 def _cmd_solve_ct(args):
     cfg = _load_config(args.config)
     catalog = _catalog_from_config(cfg)
-    C = _cache_spec(cfg, "lru")
+    C = _get(_get(cfg, "cache", dict), "capacity", int, path="cache")
     res = approx.characteristic_time(catalog, float(C))
     hit = approx.ttl_hit(catalog, res.t)
     payload = {"T_n": res.t, "residual": res.residual, "iterations": res.iterations,
@@ -163,7 +191,7 @@ def _cmd_solve_ct(args):
 def _cmd_ttl_hit(args):
     cfg = _load_config(args.config)
     catalog = _catalog_from_config(cfg)
-    T = _cache_spec(cfg, "ttl")
+    T = _get(_get(cfg, "cache", dict), "timer", float, path="cache")
     hit = approx.ttl_hit(catalog, T)
     payload = {"timer": T, "aggregate_ttl_hit": hit.aggregate,
                "miss_probability": approx.miss_probability(catalog, T)}
@@ -174,30 +202,29 @@ def _cmd_ttl_hit(args):
 
 
 def _sim_config(cfg, catalog, seed):
-    cache = cfg.get("cache", {})
+    cache = _get(cfg, "cache", dict)
     policy_name = cache.get("policy", "lru")
     if policy_name == "lru":
-        policy = simulator.LRU(int(cache["capacity"]))
+        policy = simulator.LRU(_get(cache, "capacity", int, path="cache"))
     elif policy_name == "ttl":
-        policy = simulator.TTL(float(cache["timer"]))
+        policy = simulator.TTL(_get(cache, "timer", float, path="cache"))
     else:
-        raise ConfigError(f"unknown cache policy {policy_name!r}")
-    sim = cfg.get("sim", {})
+        raise ConfigError(f"config key cache.policy: unknown policy {policy_name!r}; known: lru, ttl")
+    sim = _get(cfg, "sim", dict, {})
     return simulator.SimulationConfig(
-        catalog=catalog, policy=policy,
-        horizon_events=sim.get("events"),
-        horizon_time=sim.get("time"),
-        warmup_events=sim.get("warmup_events"),
-        warmup_time=sim.get("warmup_time"),
-        seed=seed,
-        replications=int(sim.get("replications", 1)),
-        tau_stride=int(sim.get("tau_stride", 0)))
+        catalog=catalog, policy=policy, seed=seed,
+        horizon_events=_get(sim, "events", int, None, "sim"),
+        horizon_time=_get(sim, "time", float, None, "sim"),
+        warmup_events=_get(sim, "warmup_events", int, None, "sim"),
+        warmup_time=_get(sim, "warmup_time", float, None, "sim"),
+        replications=_get(sim, "replications", int, 1, "sim"),
+        tau_stride=_get(sim, "tau_stride", int, 0, "sim"))
 
 
 def _cmd_simulate(args):
     cfg = _load_config(args.config)
     catalog = _catalog_from_config(cfg)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else _get(cfg, "seed", int, 0)
     config = _sim_config(cfg, catalog, seed)
     trace_rows = [] if args.trace else None
     if args.trace:
@@ -245,12 +272,11 @@ def _cmd_limit(args):
                "per_class": list(contributions)}
     if args.tn_asymptotic:
         spec = cfg["limit"]
-        try:
-            n = int(spec["n"])
-            Lambda_n = float(spec["Lambda_n"])
-        except KeyError as exc:
-            raise ConfigError(f"--tn-asymptotic needs limit.{exc.args[0]} in the config") from exc
-        g_n = float(spec.get("g_n", 1.0 / n))
+        n = _get(spec, "n", int, path="limit")
+        if n < 1:
+            raise ConfigError(f"config key limit.n must be >= 1, got {n}")
+        Lambda_n = _get(spec, "Lambda_n", float, path="limit")
+        g_n = _get(spec, "g_n", float, 1.0 / n, "limit")
         payload["tn_asymptotic"] = asymptotics.tn_asymptotic(model, g_n, Lambda_n, res.nu0)
     _emit_json(payload, args, "limit.json")
     return 0
@@ -258,21 +284,18 @@ def _cmd_limit(args):
 
 def _cmd_sweep(args):
     cfg = _load_config(args.config)
-    sweep = cfg.get("sweep")
-    if sweep is None:
-        raise ConfigError("config key 'sweep' is required")
-    law = _law_from_config(cfg["popularity"])
-    fam = _family_from_config(cfg["classes"])
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    sweep = _get(cfg, "sweep", dict)
+    law = _one_of(_get(cfg, "popularity", dict), "popularity", _LAWS)
+    fam = _family_from_config(cfg)
     spec = experiments.SweepSpec(
-        n_values=tuple(sweep["n_values"]),
-        beta=float(sweep["beta"]),
+        n_values=tuple(_items(sweep, "n_values", int, "sweep")),
+        beta=_get(sweep, "beta", float, path="sweep"),
         law=law, family_assignment=fam,
-        events_per_point=int(sweep["events"]),
-        replications=int(sweep.get("replications", 8)),
-        seed=seed,
-        total_rate=sweep.get("total_rate"),
-        cutoff_requests=float(sweep.get("cutoff", 1000.0)))
+        events_per_point=_get(sweep, "events", int, path="sweep"),
+        replications=_get(sweep, "replications", int, 8, "sweep"),
+        seed=args.seed if args.seed is not None else _get(cfg, "seed", int, 0),
+        total_rate=_get(sweep, "total_rate", float, None, "sweep"),
+        cutoff_requests=_get(sweep, "cutoff", float, 1000.0, "sweep"))
     rows = experiments.convergence_sweep(spec, workers=args.threads)
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
@@ -287,16 +310,14 @@ def _cmd_sweep(args):
 def _cmd_check_assumptions(args):
     cfg = _load_config(args.config)
     catalog = _catalog_from_config(cfg)
-    a = cfg.get("assumptions", {})
-    try:
-        params = experiments.AssumptionParams(
-            kappa1=float(a["kappa1"]), kappa2=float(a["kappa2"]),
-            gamma=float(a["gamma"]), beta1=a.get("beta1"),
-            rho=float(a.get("rho", 0.5)))
-    except KeyError as exc:
-        raise ConfigError(f"assumptions config is missing key {exc}") from exc
-    C = float(_cache_spec(cfg, "lru"))
-    psi = _psi_from_config(cfg, catalog)
+    a = _get(cfg, "assumptions", dict)
+    params = experiments.AssumptionParams(
+        *(_get(a, key, float, path="assumptions") for key in ("kappa1", "kappa2", "gamma")),
+        beta1=_get(a, "beta1", float, None, "assumptions"),
+        rho=_get(a, "rho", float, 0.5, "assumptions"))
+    C = float(_get(_get(cfg, "cache", dict), "capacity", int, path="cache"))
+    psi = (MaxEnvelope(list(catalog.classes)) if a.get("psi", "max") == "max"
+           else _distribution(a, "psi", "assumptions").standardize())
     report = experiments.check_assumptions(catalog, C, psi, params)
     payload = {
         "envelope": {"holds": report.envelope.holds, "m_psi": report.envelope.m_psi,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["ConstantDensity", "PowerLawDensity", "TabulatedDensity", "density_from_config"]
+__all__ = ["ConstantDensity", "PowerLawDensity", "TabulatedDensity"]
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,6 @@ class ConstantDensity:
     def cell_masses(self, n: int) -> np.ndarray:
         """Exact integrals over the n uniform cells of (0, 1]."""
         return np.full(n, self.value / n)
-
-    def config(self):
-        return {"constant": {"c": self.value}}
 
 
 @dataclass(frozen=True)
@@ -66,9 +63,6 @@ class PowerLawDensity:
         i = np.arange(0, n + 1, dtype=float)
         F = self.coefficient / (1.0 - self.exponent) * (i / n) ** (1.0 - self.exponent)
         return np.diff(F)
-
-    def config(self):
-        return {"power": {"c": self.coefficient, "alpha": self.exponent}}
 
 
 @dataclass(frozen=True)
@@ -108,18 +102,3 @@ class TabulatedDensity:
         vals[-1] = cum[-1]
         return np.diff(vals)
 
-    def config(self):
-        return {"tabulated": {"values": list(self.values)}}
-
-
-def density_from_config(spec: dict):
-    if not isinstance(spec, dict) or len(spec) != 1:
-        raise ConfigError(f"malformed density config: {spec!r}")
-    kind, params = next(iter(spec.items()))
-    if kind == "constant":
-        return ConstantDensity(params["c"])
-    if kind == "power":
-        return PowerLawDensity(params["c"], params["alpha"])
-    if kind == "tabulated":
-        return TabulatedDensity(tuple(params["values"]))
-    raise ConfigError(f"unknown density kind {kind!r}; known: constant, power, tabulated")

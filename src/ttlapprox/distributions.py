@@ -28,6 +28,7 @@ The package's one quadrature rule, ``_adaptive_gauss``, lives here too:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,6 +241,8 @@ class InterRequestDistribution:
 
     def standardize(self) -> "InterRequestDistribution":
         """Rescale to unit mean: cdf of the result is G(t / rate_original)."""
+        if not 0.0 < self.mean < math.inf:
+            raise ConfigError(f"{self!r} has mean {self.mean!r}, not a positive finite number")
         return self._scaled(1.0 / self.mean)
 
     def scaled_to_mean(self, m: float) -> "InterRequestDistribution":
@@ -262,11 +265,6 @@ class InterRequestDistribution:
         if L has the length-biased law (density x g(x) / mean) and U is
         uniform on (0, 1), then U * L has the age law.
         """
-        raise NotImplementedError
-
-    # --- config text ---------------------------------------------------------
-
-    def config(self) -> dict:
         raise NotImplementedError
 
 
@@ -311,9 +309,6 @@ class Exponential(InterRequestDistribution):
     def sample_age_batch(self, rng, size):
         return rng.exponential(1.0 / self.rate_param, size)
 
-    def config(self):
-        return {"family": "exponential", "params": {"rate": self.rate_param}}
-
 
 @dataclass(frozen=True)
 class Gamma(InterRequestDistribution):
@@ -328,6 +323,10 @@ class Gamma(InterRequestDistribution):
     def mean(self):
         return self.shape / self.rate_param
 
+    def _x(self, t):  # rate * t; the largest float past the range, where every kernel is at its limit
+        with np.errstate(over="ignore"):
+            return np.minimum(self.rate_param * t, sys.float_info.max)
+
     def _regularized(self, t):
         """(x/k, P(k, x), Q(k, x), P(k+1, x)) at x = rate * t, with one
         incomplete-gamma call per point.
@@ -339,7 +338,7 @@ class Gamma(InterRequestDistribution):
         own points.
         """
         k = self.shape
-        x = self.rate_param * t
+        x = self._x(t)
         d = np.exp(sc.xlogy(k, x) - x - math.lgamma(k + 1.0))
         p, q, p1 = np.empty_like(x), np.empty_like(x), np.empty_like(x)
         lo = x < k + 1.0
@@ -359,7 +358,7 @@ class Gamma(InterRequestDistribution):
         return self._regularized(t)[2]
 
     def _pdf(self, t):
-        x = self.rate_param * t
+        x = self._x(t)
         return self.rate_param * np.exp(
             sc.xlogy(self.shape - 1.0, x) - x - sc.gammaln(self.shape))
 
@@ -383,15 +382,14 @@ class Gamma(InterRequestDistribution):
         # the length-biased Gamma(shape, rate) is Gamma(shape + 1, rate)
         return rng.random(size) * rng.gamma(self.shape + 1.0, 1.0 / self.rate_param, size)
 
-    def config(self):
-        return {"family": "gamma", "params": {"shape": self.shape, "rate": self.rate_param}}
-
 
 class Erlang(Gamma):
     """Gamma law whose shape is an integer number of exponential stages."""
 
     def __init__(self, stages: int, rate_param: float):
-        if not (isinstance(stages, (int, np.integer)) and stages >= 1):
+        if isinstance(stages, float) and stages.is_integer():  # 2.0 is two stages
+            stages = int(stages)
+        if isinstance(stages, bool) or not (isinstance(stages, (int, np.integer)) and stages >= 1):
             raise ConfigError(f"erlang stages must be a positive integer, got {stages}")
         if not rate_param > 0:
             raise ConfigError("erlang rate must be > 0")
@@ -403,9 +401,6 @@ class Erlang(Gamma):
 
     def _scaled(self, f):
         return Erlang(self.stages, self.rate_param / f)
-
-    def config(self):
-        return {"family": "erlang", "params": {"stages": self.stages, "rate": self.rate_param}}
 
 
 @dataclass(frozen=True)
@@ -458,9 +453,6 @@ class Weibull(InterRequestDistribution):
         g = rng.gamma(1.0 + 1.0 / self.shape, 1.0, size)
         return rng.random(size) * self.scale * np.power(g, 1.0 / self.shape)
 
-    def config(self):
-        return {"family": "weibull", "params": {"shape": self.shape, "scale": self.scale}}
-
 
 @dataclass(frozen=True)
 class Hyperexponential(InterRequestDistribution):
@@ -489,23 +481,26 @@ class Hyperexponential(InterRequestDistribution):
 
     @property
     def mean(self):
-        return float(np.sum(self._w / self._r))
+        with np.errstate(over="ignore"):  # inf for a subnormal rate: standardize rejects it
+            return float(np.sum(self._w / self._r))
+
+    def _rt(self, t):  # -t * r_j; -inf past the float range, where every kernel is at its limit
+        with np.errstate(over="ignore"):
+            return -np.multiply.outer(t, self._r)
 
     def _cdf(self, t):
-        return -np.einsum("j,...j->...", self._w,
-                          np.expm1(-np.multiply.outer(t, self._r)))
+        return -np.einsum("j,...j->...", self._w, np.expm1(self._rt(t)))
 
     def _pdf(self, t):
-        return np.einsum("j,...j->...", self._w * self._r,
-                         np.exp(-np.multiply.outer(t, self._r)))
+        return np.einsum("j,...j->...", self._w * self._r, np.exp(self._rt(t)))
 
     def _ccdf(self, t):
-        return np.einsum("j,...j->...", self._w, np.exp(-np.multiply.outer(t, self._r)))
+        return np.einsum("j,...j->...", self._w, np.exp(self._rt(t)))
 
     def _age_cdf_ccdf(self, t):
         # age law is again hyperexponential with weights w_j/(r_j * mean);
         # both sums share the outer product
-        x = -np.multiply.outer(t, self._r)
+        x = self._rt(t)
         wa = self._w / self._r / self.mean
         return (-np.einsum("j,...j->...", wa, np.expm1(x)),
                 np.einsum("j,...j->...", self._w, np.exp(x)))
@@ -532,10 +527,6 @@ class Hyperexponential(InterRequestDistribution):
         # age law: hyperexponential with weights w_j / (r_j * mean)
         return self._mixture_batch(rng, size, self._w / self._r / self.mean)
 
-    def config(self):
-        return {"family": "hyperexponential",
-                "params": {"weights": list(self.weights), "rates": list(self.rates)}}
-
 
 @dataclass(frozen=True)
 class ParetoLomax(InterRequestDistribution):
@@ -554,18 +545,23 @@ class ParetoLomax(InterRequestDistribution):
     def mean(self):
         return self.scale / (self.shape - 1.0)
 
+    def _log1p(self, t):  # inf past the float range, where every kernel is at its limit
+        with np.errstate(over="ignore"):
+            return np.log1p(t / self.scale)
+
     def _cdf(self, t):
-        return -np.expm1(-self.shape * np.log1p(t / self.scale))
+        return -np.expm1(-self.shape * self._log1p(t))
 
     def _ccdf(self, t):
-        return np.exp(-self.shape * np.log1p(t / self.scale))
+        return np.exp(-self.shape * self._log1p(t))
 
     def _pdf(self, t):
-        return (self.shape / self.scale) * np.exp(-(self.shape + 1.0) * np.log1p(t / self.scale))
+        return (self.shape / self.scale) * np.exp(-(self.shape + 1.0) * self._log1p(t))
 
     def _age_cdf_ccdf(self, t):
         # the age law is again Lomax with shape-1
-        return -np.expm1(-(self.shape - 1.0) * np.log1p(t / self.scale)), self._ccdf(t)
+        lg = self._log1p(t)
+        return -np.expm1(-(self.shape - 1.0) * lg), np.exp(-self.shape * lg)
 
     def quantile(self, u):
         _check_unit(u)
@@ -584,36 +580,31 @@ class ParetoLomax(InterRequestDistribution):
     def sample_age_batch(self, rng, size):
         return self.scale * rng.pareto(self.shape - 1.0, size)
 
-    def config(self):
-        return {"family": "pareto_lomax", "params": {"shape": self.shape, "scale": self.scale}}
-
 
 _FAMILIES = {
     "exponential": lambda p: Exponential(p["rate"]),
     "gamma": lambda p: Gamma(p["shape"], p["rate"]),
     "weibull": lambda p: Weibull(p["shape"], p["scale"]),
-    "erlang": lambda p: Erlang(int(p["stages"]), p["rate"]),
+    "erlang": lambda p: Erlang(p["stages"], p["rate"]),
     "hyperexponential": lambda p: Hyperexponential(tuple(p["weights"]), tuple(p["rates"])),
     "pareto_lomax": lambda p: ParetoLomax(p["shape"], p["scale"]),
 }
 
 
 def distribution_from_config(spec: dict) -> InterRequestDistribution:
-    """Build a distribution from {"family": ..., "params": {...}} config text."""
+    """Build a distribution from {"family": ..., "params": {...}} config text;
+    an unknown family or a missing or bad parameter raises ConfigError."""
     try:
         family = spec["family"]
         params = spec.get("params", {})
     except (TypeError, KeyError) as exc:
         raise ConfigError(f"malformed distribution config: {spec!r}") from exc
+    if not (isinstance(family, str) and family in _FAMILIES):
+        raise ConfigError(f"unknown distribution family {family!r}; known: {sorted(_FAMILIES)}")
     try:
-        builder = _FAMILIES[family]
-    except KeyError:
-        raise ConfigError(f"unknown distribution family {family!r}; "
-                          f"known: {sorted(_FAMILIES)}") from None
-    try:
-        return builder(params)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"bad parameters for family {family!r}: {params!r}") from exc
+        return _FAMILIES[family](params)
+    except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
+        raise ConfigError(f"bad parameters for family {family!r}: {params!r}: {exc}") from exc
 
 
 _ENVELOPE_GRID = (1e-6, 1e3, 1000)  # check_envelope's log t grid (lo, hi, points)
@@ -744,6 +735,7 @@ def check_smoothness(family, rho: float) -> SmoothnessReport:
     std = [d.standardize() for d in family]
     t_grid = np.geomspace(*_SMOOTHNESS_T_GRID)
     xs = np.linspace(rho / _SMOOTHNESS_X_POINTS, rho, _SMOOTHNESS_X_POINTS)
+    xs = xs[xs > 0]  # a subnormal rho underflows its first steps to 0
     B = 0.0
     for d in std:
         base = d.cdf(t_grid)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from . import approx, asymptotics, simulator
 from .densities import PowerLawDensity
 from .distributions import check_envelope, check_smoothness
 from .errors import ConfigError, NumericsError
-from .popularity import P1Report, ZipfLaw, build_catalog, check_P1
+from .popularity import ZipfLaw, build_catalog, check_P1
 
 __all__ = [
     "SweepSpec",
@@ -57,8 +57,7 @@ class SweepSpec:
             raise ConfigError("n_values must be a nonempty increasing sequence")
         object.__setattr__(self, "n_values", ns)
         for n in ns:
-            C = round(self.beta * n)
-            if not 0 < C < n:
+            if not (0.0 < self.beta < 1.0 and 0 < round(self.beta * n) < n):
                 raise ConfigError(f"beta={self.beta} gives infeasible cache size at n={n}")
         if self.events_per_point < 1 or self.replications < 1:
             raise ConfigError("events_per_point and replications must be >= 1")
@@ -211,11 +210,13 @@ def check_assumptions(catalog, C: float, psi, params: AssumptionParams) -> Assum
     try:
         p1 = check_P1(catalog, C, params.kappa1, params.kappa2, params.gamma)
     except ConfigError:
+        if not params.kappa1 * C > catalog.n:
+            raise
         # kappa1*C beyond the catalog: the tail there is empty, so the
-        # inequality cannot hold; report the failure instead of raising
-        p1 = P1Report(kappa1=params.kappa1, kappa2=params.kappa2, gamma=params.gamma,
-                      cache_size=C, lhs=0.0, holds=False,
-                      rhs=params.gamma * catalog.tail(int(params.kappa2 * C)))
+        # inequality cannot hold; report the failure instead of raising.
+        # kappa1 = 0 still checks kappa2 and gamma and gives the right side.
+        p1 = replace(check_P1(catalog, C, 0.0, params.kappa2, params.gamma),
+                     kappa1=params.kappa1, lhs=0.0, holds=False)
     beta1 = params.beta1 if params.beta1 is not None else C / catalog.n
     holds = (C <= beta1 * catalog.n + 1e-12) and (beta1 < env.m_psi)
     c1 = C1Report(beta1=beta1, m_psi=env.m_psi, n=catalog.n, C=C,

@@ -44,9 +44,6 @@ class ZipfLaw:
     def weights(self, n: int) -> np.ndarray:
         return zipf_popularity(n, self.alpha)
 
-    def config(self):
-        return {"zipf": {"alpha": self.alpha}}
-
 
 @dataclass(frozen=True)
 class DensityLaw:
@@ -61,9 +58,6 @@ class DensityLaw:
         if np.any(w <= 0):
             raise ConfigError("density law produced a zero or negative popularity weight")
         return w / math.fsum(w.tolist())
-
-    def config(self):
-        return {"density": self.density.config()}
 
 
 def _suffix_tail(p_sorted: np.ndarray) -> np.ndarray:
@@ -195,10 +189,11 @@ def check_P1(catalog: ContentCatalog, C: float, kappa1: float, kappa2: float,
         raise ConfigError(f"kappa2 must be in [0, 1], got {kappa2}")
     if not 0.0 < gamma < 1.0:
         raise ConfigError(f"gamma must be in (0, 1), got {gamma}")
+    if not 0.0 <= kappa1 * C <= catalog.n:  # as 0 <= ceil(kappa1*C) <= n, with no ceil of inf
+        raise ConfigError(f"kappa1 too large for catalog, or negative: kappa1*C={kappa1 * C} "
+                          f"outside [0, n={catalog.n}]")
     hi = math.ceil(kappa1 * C)
     lo = math.floor(kappa2 * C)
-    if hi > catalog.n:
-        raise ConfigError(f"kappa1 too large for catalog: ceil(kappa1*C)={hi} > n={catalog.n}")
     lhs = catalog.tail(hi)
     rhs = gamma * catalog.tail(lo)
     return P1Report(kappa1=kappa1, kappa2=kappa2, gamma=gamma, cache_size=C,

@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 
 import numpy as np
@@ -94,6 +95,15 @@ class TestInfiniteTimer:
         assert occupancy_derivative(cat, math.inf) == 0.0
         assert miss_probability(cat, math.inf) == 0.0
         assert ttl_hit(cat, math.inf).aggregate == 1.0
+
+    @pytest.mark.parametrize("T", [1e307, 1e308, sys.float_info.max], ids=repr)
+    @pytest.mark.parametrize("d", ALL_FAMILIES, ids=repr)
+    def test_saturated_past_the_float_range(self, d, T):
+        # rate_i*T and the kernels' own scalings overflow here: the limits,
+        # with no overflow warning
+        cat = build_catalog(ZipfLaw(0.8), 40, 50.0, d)
+        assert _occupancy_and_slope(cat, T) == (40.0, 0.0)
+        assert np.all(ttl_hit(cat, T).per_content == 1.0)
 
 
 class TestInvalidTimer:

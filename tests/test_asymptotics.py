@@ -9,7 +9,7 @@ from ttlapprox.asymptotics import (_QUAD_ATOL, AsymptoticModel, ModelClass, _cla
                                    rate_curve, solve_nu0, tn_asymptotic, zipf_gn)
 from ttlapprox.densities import ConstantDensity, PowerLawDensity, TabulatedDensity
 from ttlapprox.distributions import Exponential, Gamma
-from ttlapprox.errors import ConfigError, QuadratureError
+from ttlapprox.errors import ConfigError, NumericsError, QuadratureError
 from ttlapprox.popularity import ZipfLaw, build_catalog
 
 from oracles import (midpoint_density_integral, midpoint_power_hit_integral,
@@ -235,6 +235,13 @@ class TestTnAsymptotic:
         from scipy.special import zeta
         assert zipf_gn(1.5, 1000) == pytest.approx(1.0 / (float(zeta(1.5)) * 1000 ** 1.5),
                                                    rel=1e-12)
+
+
+    @pytest.mark.parametrize("g_n, Lambda_n", [(1e-6, 5e-324), (1e-3, 1e-310)])
+    def test_non_finite_prediction_raises(self, g_n, Lambda_n):
+        # the product underflows to 0, or the ratio overflows to inf
+        with pytest.raises(NumericsError, match="not a finite number"):
+            tn_asymptotic(UNIFORM_POISSON, g_n, Lambda_n, 0.71)
 
 
 class TestRateCurve:

@@ -1,9 +1,17 @@
+import contextlib
+import copy
 import csv
+import io
 import json
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttlapprox import cli
 from ttlapprox.approx import expected_occupancy
@@ -12,8 +20,8 @@ from ttlapprox.errors import NumericsError
 from ttlapprox.popularity import ZipfLaw, build_catalog
 
 
-def write_config(tmp_path, extra=None):
-    cfg = {
+def base_config():
+    return {
         "n": 60,
         "total_rate": 60.0,
         "popularity": {"zipf": {"alpha": 0.8}},
@@ -33,11 +41,34 @@ def write_config(tmp_path, extra=None):
         "sweep": {"n_values": [40, 80], "beta": 0.3, "events": 20000,
                   "replications": 2, "cutoff": 100},
     }
+
+
+def write_config(tmp_path, extra=None):
+    cfg = base_config()
     if extra:
         cfg.update(extra)
-    path = tmp_path / "config.json"
+    path = Path(tmp_path) / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+_DROP = object()  # as a value in ``_mutated``: delete the key
+
+
+def _mutated(cfg, dotted, value):
+    """A copy of cfg with the value at a dotted key path (list indices as
+    numbers) replaced, or deleted for _DROP."""
+    cfg = copy.deepcopy(cfg)
+    *head, last = dotted.split(".")
+    node = cfg
+    for k in head:
+        node = node[int(k) if isinstance(node, list) else k]
+    last = int(last) if isinstance(node, list) else last
+    if value is _DROP:
+        del node[last]
+    else:
+        node[last] = value
+    return cfg
 
 
 class TestSolveCt:
@@ -149,3 +180,129 @@ class TestExitCodes:
         monkeypatch.setattr(Exponential, "_age_cdf_ccdf", nan_kernel)
         assert cli.main(["--config", write_config(tmp_path), "limit"]) == 3
         assert "not finite" in capsys.readouterr().err
+
+    # (subcommand argv, key path, new value or _DROP, the key path the message names)
+    PROBES = [
+        (["solve-ct"], "popularity.zipf.alpha", "x", "popularity.zipf.alpha"),
+        (["solve-ct"], "n", "x", "n"),
+        (["solve-ct"], "n", 50.7, "n"),
+        (["solve-ct"], "n", True, "n"),
+        (["solve-ct"], "n", 1e308, "n"),
+        (["solve-ct"], "total_rate", "x", "total_rate"),
+        (["solve-ct"], "classes", [{"fraction": "x", "family": "exponential",
+                                    "params": {"rate": 1.0}}], "classes.0.fraction"),
+        (["solve-ct"], "classes", [5], "classes.0"),
+        (["solve-ct"], "classes", [], "classes"),
+        (["solve-ct"], "classes.0.family", ["exponential"], "classes.0"),
+        (["solve-ct"], "classes.0.family", "cauchy", "classes.0"),
+        (["solve-ct"], "classes.0.params.rate", "x", "classes.0.params.rate"),
+        (["solve-ct"], "classes.0", {"family": "erlang", "params": {"stages": 2.7, "rate": 1.0}},
+         "classes.0"),
+        (["solve-ct"], "cache.capacity", "x", "cache.capacity"),
+        (["solve-ct"], "popularity.zipf", [0.8], "popularity.zipf"),
+        (["solve-ct"], "popularity", {"zipf": {"alpha": 0.8}, "density": {}}, "popularity"),
+        (["solve-ct"], "popularity", {"cauchy": {"a": 1}}, "popularity"),
+        (["solve-ct"], "popularity", {"density": {"power": {"c": 0.2}}},
+         "popularity.density.power.alpha"),
+        (["solve-ct"], "popularity", {"density": {"tabulated": {"values": ["a"]}}},
+         "popularity.density.tabulated.values.0"),
+        (["ttl-hit"], "cache.timer", "x", "cache.timer"),
+        (["ttl-hit"], "cache.timer", math.nan, "cache.timer"),
+        (["ttl-hit"], "cache.timer", -math.inf, "cache.timer"),
+        (["simulate"], "sim", [1], "sim"),
+        (["simulate"], "cache.capacity", _DROP, "cache.capacity"),
+        (["simulate"], "cache.policy", "fifo", "cache.policy"),
+        (["simulate"], "sim.replications", 1.5, "sim.replications"),
+        (["simulate"], "sim.events", "x", "sim.events"),
+        (["simulate"], "seed", "x", "seed"),
+        (["limit"], "limit.classes", 5, "limit.classes"),
+        (["limit"], "limit.classes.0.density.power.alpha", _DROP,
+         "limit.classes.0.density.power.alpha"),
+        (["limit"], "limit.classes.0.weight", "x", "limit.classes.0.weight"),
+        (["limit"], "limit.beta0", _DROP, "limit.beta0"),
+        (["limit", "--tn-asymptotic"], "limit.n", 0, "limit.n"),
+        (["limit", "--tn-asymptotic"], "limit.g_n", "x", "limit.g_n"),
+        (["convergence-sweep"], "sweep.n_values", ["a"], "sweep.n_values.0"),
+        (["convergence-sweep"], "sweep", _DROP, "sweep"),
+        (["check-assumptions"], "assumptions.beta1", "x", "assumptions.beta1"),
+        (["check-assumptions"], "assumptions.psi", [1], "assumptions.psi"),
+    ]
+
+    @pytest.mark.parametrize("argv, key, value, named", PROBES,
+                             ids=[f"{p[0][0]}:{p[1]}={p[2]!r}" for p in PROBES])
+    def test_malformed_value_is_2_naming_its_key(self, tmp_path, capsys, argv, key, value, named):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(_mutated(base_config(), key, value)))
+        assert cli.main(["--config", str(path), "--threads", "1", "--out", str(tmp_path)]
+                        + argv) == 2
+        assert re.search(rf"config key {re.escape(named)}[ :]", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("g_n, Lambda_n", [(1e-6, 5e-324), (1e-3, 1e-310)])
+    def test_non_finite_tn_asymptotic_is_3(self, tmp_path, capsys, g_n, Lambda_n):
+        limit = dict(base_config()["limit"], g_n=g_n, Lambda_n=Lambda_n)
+        path = write_config(tmp_path, {"limit": limit})
+        assert cli.main(["--config", path, "limit", "--tn-asymptotic"]) == 3
+        assert "not a finite number" in capsys.readouterr().err
+
+
+class TestHugeTimer:
+    def test_ttl_hit_at_the_float_limit(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"cache": {"policy": "ttl", "timer": 1e308}})
+        assert cli.main(["--config", path, "ttl-hit"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["aggregate_ttl_hit"] == pytest.approx(1.0, rel=1e-14)
+        assert payload["miss_probability"] == 0.0
+
+
+def _reject_constant(token):
+    raise AssertionError(f"non-finite JSON token {token}")
+
+
+# The fuzz base: write_config's schema with tiny sizes, so every example runs in milliseconds.
+_FUZZ_BASE = dict(base_config(), n=12, cache={"policy": "lru", "capacity": 4},
+                  sim={"events": 600, "warmup_events": 100, "replications": 1},
+                  sweep={"n_values": [10, 20], "beta": 0.3, "events": 400, "replications": 1,
+                         "cutoff": 5})
+
+
+def _paths(node, prefix=""):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for k, v in items:
+        path = f"{prefix}{k}"
+        yield path
+        if isinstance(v, (dict, list)):
+            yield from _paths(v, path + ".")
+
+
+_FUZZ_PATHS = sorted(_paths(_FUZZ_BASE))
+# The huge values lie past 64 bits as integers, so a key that sizes the work (n,
+# events, replications) rejects them instead of starting a valid but endless run.
+_FUZZ_VALUES = [_DROP, "x", True, None, [], {}, [1], 0, -1, 2.5, math.nan, math.inf, -math.inf,
+                1e308, -1e308, 10 ** 30, 5e-324]
+_FUZZ_ARGV = [["solve-ct"], ["ttl-hit"], ["simulate"], ["limit", "--tn-asymptotic"],
+              ["convergence-sweep"], ["check-assumptions"]]
+
+
+class TestFuzz:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(argv=st.sampled_from(_FUZZ_ARGV),
+           edits=st.lists(st.tuples(st.sampled_from(_FUZZ_PATHS), st.sampled_from(_FUZZ_VALUES)),
+                          min_size=1, max_size=3))
+    def test_main_ends_in_an_exit_code(self, argv, edits):
+        cfg = _FUZZ_BASE
+        for key, value in edits:
+            try:
+                cfg = _mutated(cfg, key, value)
+            except (KeyError, IndexError, TypeError, ValueError):  # an earlier edit took the path
+                pass
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(cfg))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                rc = cli.main(["--config", str(path), "--threads", "1", "--out", tmp,
+                               "--format", "json"] + argv)
+            assert rc in (0, 2, 3)
+            if rc == 0:  # with --out, the last line printed is the JSON file written
+                written = Path(out.getvalue().splitlines()[-1]).read_text()
+                json.loads(written, parse_constant=_reject_constant)

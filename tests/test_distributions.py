@@ -290,6 +290,12 @@ class TestStandardize:
         mean, _ = integrate.quad(s.ccdf, 0.0, np.inf, epsabs=1e-12, limit=500)
         assert mean == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("d", [Exponential(5e-324), Hyperexponential((1.0,), (5e-324,))],
+                             ids=repr)
+    def test_mean_past_the_float_range_is_config_error(self, d):
+        with pytest.raises(ConfigError, match="not a positive finite number"):
+            d.standardize()
+
     def test_scaled_to_mean(self):
         for d in ALL_FAMILIES:
             assert d.scaled_to_mean(0.25).mean == pytest.approx(0.25, rel=1e-12)
@@ -362,6 +368,10 @@ class TestSmoothness:
         # density unbounded at zero for shape < 1
         assert rep.uniform_lipschitz_M is None
 
+    def test_subnormal_rho(self):
+        # rho / 40 underflows to a zero step, which is skipped
+        assert check_smoothness([Exponential(1.0)], rho=5e-324).B == 0.0
+
     def test_bound_holds_on_samples(self):
         rep = check_smoothness([Gamma(1.5, 1.5), Exponential(1.0)], rho=0.5)
         rng = np.random.default_rng(2)
@@ -373,9 +383,32 @@ class TestSmoothness:
 
 
 class TestConfigText:
-    def test_roundtrip_all_families(self):
-        for d in ALL_FAMILIES:
-            assert distribution_from_config(d.config()) == d
+    @pytest.mark.parametrize("spec, expected", [
+        ({"family": "exponential", "params": {"rate": 1.3}}, Exponential(1.3)),
+        ({"family": "gamma", "params": {"shape": 0.7, "rate": 2.0}}, Gamma(0.7, 2.0)),
+        ({"family": "weibull", "params": {"shape": 1.7, "scale": 0.6}}, Weibull(1.7, 0.6)),
+        ({"family": "erlang", "params": {"stages": 3, "rate": 2.0}}, Erlang(3, 2.0)),
+        ({"family": "erlang", "params": {"stages": 2.0, "rate": 1.0}}, Erlang(2, 1.0)),
+        ({"family": "hyperexponential", "params": {"weights": [0.4, 0.6], "rates": [0.5, 3.0]}},
+         Hyperexponential((0.4, 0.6), (0.5, 3.0))),
+        ({"family": "pareto_lomax", "params": {"shape": 2.2, "scale": 1.7}}, ParetoLomax(2.2, 1.7)),
+    ], ids=["exponential", "gamma", "weibull", "erlang", "erlang-2.0", "hyperexponential",
+            "pareto_lomax"])
+    def test_family_table(self, spec, expected):
+        assert distribution_from_config(spec) == expected
+
+    @pytest.mark.parametrize("spec", [
+        {"family": "erlang", "params": {"stages": 2.7, "rate": 1.0}},
+        {"family": "erlang", "params": {"stages": "x", "rate": 1.0}},
+        {"family": "erlang", "params": {"stages": True, "rate": 1.0}},
+        {"family": "hyperexponential", "params": {"weights": ["a"], "rates": [1.0]}},
+        {"family": ["exponential"], "params": {"rate": 1.0}},
+        {"family": "exponential", "params": {}},
+        {"params": {"rate": 1.0}},
+    ])
+    def test_malformed_is_config_error(self, spec):
+        with pytest.raises(ConfigError):
+            distribution_from_config(spec)
 
     def test_unknown_family(self):
         with pytest.raises(ConfigError, match="unknown distribution family"):

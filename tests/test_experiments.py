@@ -34,6 +34,11 @@ class TestSweep:
         assert all(r.gap_max >= 0 and r.gap_aggregate >= 0 for r in rows)
         assert all(np.isfinite(r.stderr_max) and np.isfinite(r.stderr_agg) for r in rows)
 
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 1e308, math.nan])
+    def test_infeasible_beta_is_config_error(self, beta):
+        with pytest.raises(ConfigError, match="infeasible cache size"):
+            tiny_spec(beta=beta)
+
     def test_failed_row_marked_not_dropped(self):
         rows = convergence_sweep(tiny_spec(cutoff_requests=1e9), workers=1)
         assert len(rows) == 2
@@ -96,6 +101,14 @@ class TestCheckAssumptions:
         assert rep.c1.m_psi < 0.99
         assert not rep.c1.holds
         assert not rep.all_hold
+
+    @pytest.mark.parametrize("params", [dict(kappa1=1.2, kappa2=1.5, gamma=0.1),
+                                        dict(kappa1=1e308, kappa2=0.0, gamma=2.0)])
+    def test_out_of_range_kappa2_or_gamma_is_config_error(self, params):
+        # only kappa1*C past the catalog is reported as a failed P1
+        cat = build_catalog(ZipfLaw(0.8), 200, 200.0, Exponential(1.0))
+        with pytest.raises(ConfigError, match="kappa2|gamma"):
+            check_assumptions(cat, 20.0, Exponential(1.0), AssumptionParams(**params))
 
     def test_mixed_gamma_max_envelope(self):
         members = [Gamma(1.0, 1.0), Gamma(2.0, 2.0)]

@@ -154,6 +154,12 @@ class TestCheckP1:
         with pytest.raises(ConfigError, match="kappa1 too large"):
             check_P1(cat, 90.0, kappa1=1.5, kappa2=0.0, gamma=0.5)
 
+    @pytest.mark.parametrize("kappa1", [1e308, -1e308, -1.0])
+    def test_kappa1_past_the_float_range_or_negative(self, kappa1):
+        cat = build_catalog(ZipfLaw(0.0), 100, 1.0, Exponential(1.0))
+        with pytest.raises(ConfigError, match="kappa1"):
+            check_P1(cat, 90.0, kappa1=kappa1, kappa2=0.0, gamma=0.5)
+
 
 class TestBuildCatalog:
     def test_uniform_exponential(self):
