@@ -20,8 +20,8 @@ catalog = build_catalog(ZipfLaw(alpha), n, total_rate=float(n),
 result = characteristic_time(catalog, C)
 print(f"catalog: n={n}, Zipf({alpha}), Poisson streams, C={C}")
 print(f"characteristic time T = {result.t:.6f}")
-print(f"  solver: monotone Newton from C / total_rate, {result.iterations} steps, "
-      f"residual {result.residual:.2e}")
+print(f"  solver: monotone Newton from the root of a grouped Jensen bound, "
+      f"{result.iterations} full-catalog steps, residual {result.residual:.2e}")
 print(f"  occupancy check: K(T) = {expected_occupancy(catalog, result.t):.6f} (= C)")
 
 # analytic bracket from the envelope (all streams share the exponential shape)

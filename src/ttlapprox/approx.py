@@ -5,8 +5,15 @@ timer T is K(T) = sum_i age_cdf_i(T); the characteristic time of an LRU
 cache of capacity C is the unique T with K(T) = C.  K is concave and
 increasing, so ``characteristic_time`` finds T by monotone Newton from
 the left; each step gets K and K' = sum_i rate_i ccdf_i(T) from one pass
-of the class kernels.  Timer-cache hit probabilities evaluated at that T
-approximate the LRU hit probabilities, per content and in aggregate.
+of the class kernels.  The solve has two stages.  A class law's age cdf A
+is concave (its slope is the ccdf), so by Jensen's inequality a group g
+of one class's contents has sum_{i in g} A(r_i T) <= |g| A(rbar_g T) at
+the group's mean rate rbar_g.  Newton first solves U(T) = C for the sum
+U >= K of these terms over at most _BOUND_GROUPS rate-sorted groups per
+class, a few hundred kernel points; its root T_U lies left of the root of
+K, so the full-catalog Newton starts there, typically one step from the
+root.  Timer-cache hit probabilities evaluated at that T approximate the
+LRU hit probabilities, per content and in aggregate.
 """
 
 from __future__ import annotations
@@ -34,24 +41,53 @@ __all__ = [
 ]
 
 
-def _occupancy_and_slope(catalog: ContentCatalog, T: float) -> tuple[float, float]:
-    """(K(T), K'(T)) in one pass over the classes: each class kernel returns
-    the age cdf and the ccdf of its contents together."""
+def _weighted_pass(parts, T: float) -> tuple[float, float]:
+    """(sum w A(r T), sum w r ccdf(r T)) over parts (class law, rates r,
+    weights w), in one pass of each class kernel, which returns the age
+    cdf A and the ccdf together."""
     if not T >= 0:  # NaN fails this too
         raise ConfigError(f"T must be >= 0, got {T}")
-    # rate_i*T past the float range (or T = inf): the public kernels take the limits
-    wide = float(catalog.rates[catalog.sorted_order[0]]) * float(T) == math.inf
     k, slope = [], []
-    # scale-family identity: the age cdf (ccdf) of content i at T is the
-    # class age cdf (ccdf) at rate_i*T
-    for dist, idx in catalog.groups:
-        rates = catalog.rates[idx]
+    # scale-family identity: the age cdf (ccdf) of a content at T is the
+    # class age cdf (ccdf) at rate*T
+    for dist, rates, w in parts:
         with np.errstate(over="ignore"):
             x = rates * T
+        # rate*T past the float range (or T = inf): the public kernels take the limits
+        wide = x.max(initial=0.0) == math.inf
         age, ccdf = (dist.age_cdf(x), dist.ccdf(x)) if wide else dist._age_cdf_ccdf(x)
-        k.append(float(np.sum(age)))
-        slope.append(float(np.sum(rates * ccdf)))
+        k.append(float(np.sum(w * age)))
+        slope.append(float(np.sum(w * rates * ccdf)))
     return math.fsum(k), math.fsum(slope)
+
+
+def _occupancy_and_slope(catalog: ContentCatalog, T: float) -> tuple[float, float]:
+    """(K(T), K'(T)) in one pass over the classes."""
+    return _weighted_pass([(dist, catalog.rates[idx], 1.0) for dist, idx in catalog.groups], T)
+
+
+# Rate-sorted groups per class, at most, in the Jensen bound U >= K that starts the solve.
+_BOUND_GROUPS = 512
+
+
+def _bound_parts(catalog: ContentCatalog) -> list:
+    """Per class, (law, group mean rates, group sizes) over geometric rank
+    groups of its rate-sorted contents: U(T) = sum_g |g| A(rbar_g T) >= K(T),
+    by Jensen's inequality on the concave A."""
+    order = catalog.sorted_order
+    cls = catalog.class_of[order]
+    parts = []
+    for c, dist in enumerate(catalog.classes):
+        rates = catalog.rates[order[cls == c]]
+        if not rates.size:
+            continue
+        # group k holds the ranks [e_k, e_k+1), e_k = floor((m + 1)^(k / groups)):
+        # singletons at the top, where the rates are far apart
+        ends = np.unique(((rates.size + 1.0) ** (np.arange(_BOUND_GROUPS + 1) / _BOUND_GROUPS))
+                         .astype(np.int64))
+        sizes = np.diff(ends)
+        parts.append((dist, np.add.reduceat(rates, ends[:-1] - 1) / sizes, sizes))
+    return parts
 
 
 def expected_occupancy(catalog: ContentCatalog, T: float) -> float:
@@ -99,7 +135,8 @@ def tn_bracket(catalog: ContentCatalog, C: float, psi, n1: int | None = None,
 
 @dataclass(frozen=True)
 class CharacteristicTimeResult:
-    """Solved characteristic time, its residual |K(t) - C| and Newton steps."""
+    """Solved characteristic time, its residual |K(t) - C| and the Newton
+    steps on the full catalog."""
 
     t: float
     residual: float
@@ -108,11 +145,14 @@ class CharacteristicTimeResult:
 
 def characteristic_time(catalog: ContentCatalog, C: float,
                         rtol: float = 1e-9) -> CharacteristicTimeResult:
-    """Solve K(T) = C by monotone Newton from T = C / total_rate.
+    """Solve K(T) = C by monotone Newton, started at the root of a Jensen
+    bound U >= K.
 
     K is concave and strictly increasing while K < n, so the root is
-    unique, and K(T) <= total_rate * T puts the start at or left of it:
-    the Newton iterates rise monotonically to the root with no bracket.
+    unique.  U (see the module docstring) is concave and increasing too,
+    and U(T) <= total_rate * T, so Newton on U from C / total_rate rises to
+    its root T_U with no bracket.  There K(T_U) <= U(T_U) = C: Newton on K
+    from T_U rises to the root of K in turn.
 
     Raises
     ------
@@ -127,11 +167,18 @@ def characteristic_time(catalog: ContentCatalog, C: float,
         raise ConfigError(f"infeasible occupancy: C must be in (0, n), got C={C}, n={n}")
     if not (math.isfinite(rtol) and rtol > 0.0):
         raise ConfigError(f"rtol must be a positive finite number, got {rtol!r}")
+    bound = _bound_parts(catalog)
+
+    def bound_and_slope(T):
+        u, slope = _weighted_pass(bound, T)
+        return u - C, slope
+
     def f_and_slope(T):
         k, slope = _occupancy_and_slope(catalog, T)
         return k - C, slope
 
-    t, residual, steps = monotone_newton(f_and_slope, C / catalog.total_rate, rtol * C)
+    start = monotone_newton(bound_and_slope, C / catalog.total_rate, rtol * C)[0]
+    t, residual, steps = monotone_newton(f_and_slope, start, rtol * C)
     return CharacteristicTimeResult(t, residual, steps)
 
 

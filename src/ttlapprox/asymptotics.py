@@ -256,7 +256,7 @@ def fagin_catalog(model: AsymptoticModel, n: int, total_rate: float) -> ContentC
         weights.append(w)
         class_of.append(np.full(nj, j, dtype=np.int64))
     w = np.concatenate(weights)
-    p = w / math.fsum(w.tolist())
+    p = w / math.fsum(memoryview(w))
     return ContentCatalog(rates=p * total_rate,
                           classes=tuple(c.psi for c in model.classes),
                           class_of=np.concatenate(class_of))

@@ -310,6 +310,11 @@ class Exponential(InterRequestDistribution):
         return rng.exponential(1.0 / self.rate_param, size)
 
 
+# Largest Gamma shape: log Gamma(k + 1) and scipy's incomplete gammas at the
+# largest float x fail from k = 2.53e305 on, where x^k leaves the float range.
+_GAMMA_MAX_SHAPE = 1e305
+
+
 @dataclass(frozen=True)
 class Gamma(InterRequestDistribution):
     shape: float
@@ -318,6 +323,11 @@ class Gamma(InterRequestDistribution):
     def __post_init__(self):
         if not (self.shape > 0 and self.rate_param > 0):
             raise ConfigError("gamma shape and rate must be > 0")
+        object.__setattr__(self, "shape", float(self.shape))  # scipy takes no int past 64 bits
+        object.__setattr__(self, "rate_param", float(self.rate_param))
+        if not self.shape <= _GAMMA_MAX_SHAPE:
+            raise ConfigError(f"gamma shape must be at most {_GAMMA_MAX_SHAPE:.4g}, "
+                              f"got {self.shape!r}")
 
     @property
     def mean(self):
@@ -427,8 +437,10 @@ class Weibull(InterRequestDistribution):
         return np.exp(-self._power(t))
 
     def _pdf(self, t):
-        z = t / self.scale
-        return (self.shape / self.scale) * np.power(z, self.shape - 1.0) * np.exp(-self._power(t))
+        # shape * p e^-p / t with p = (t/scale)^shape: p e^-p <= 1/e, so no
+        # factor overflows unless the density does; p = inf is the limit 0
+        p = np.minimum(self._power(t), sys.float_info.max)
+        return self.shape * (p * np.exp(-p) / t)
 
     def _age_cdf_ccdf(self, t):
         # same partial-expectation identity; E[X; X<=t] reduces to a lower
@@ -489,21 +501,20 @@ class Hyperexponential(InterRequestDistribution):
             return -np.multiply.outer(t, self._r)
 
     def _cdf(self, t):
-        return -np.einsum("j,...j->...", self._w, np.expm1(self._rt(t)))
+        return -(np.expm1(self._rt(t)) @ self._w)
 
     def _pdf(self, t):
-        return np.einsum("j,...j->...", self._w * self._r, np.exp(self._rt(t)))
+        return np.exp(self._rt(t)) @ (self._w * self._r)
 
     def _ccdf(self, t):
-        return np.einsum("j,...j->...", self._w, np.exp(self._rt(t)))
+        return np.exp(self._rt(t)) @ self._w
 
     def _age_cdf_ccdf(self, t):
         # age law is again hyperexponential with weights w_j/(r_j * mean);
         # both sums share the outer product
         x = self._rt(t)
         wa = self._w / self._r / self.mean
-        return (-np.einsum("j,...j->...", wa, np.expm1(x)),
-                np.einsum("j,...j->...", self._w, np.exp(x)))
+        return -(np.expm1(x) @ wa), np.exp(x) @ self._w
 
     def quantile(self, u):
         # a mixture of exponentials has a concave cdf; the slope is _pdf,

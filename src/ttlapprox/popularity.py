@@ -34,7 +34,7 @@ def zipf_popularity(n: int, alpha: float) -> np.ndarray:
     if alpha < 0:
         raise ConfigError(f"alpha must be >= 0, got {alpha}")
     w = np.arange(1, n + 1, dtype=float) ** (-alpha)
-    return w / math.fsum(w.tolist())
+    return w / math.fsum(memoryview(w))
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,16 @@ class DensityLaw:
 
     def weights(self, n: int) -> np.ndarray:
         z = (np.arange(1, n + 1, dtype=float) - 0.5) / n
-        w = np.asarray(self.density(z), dtype=float)
+        with np.errstate(over="ignore"):  # a weight past the float range is rejected below
+            w = np.asarray(self.density(z), dtype=float)
         if np.any(w <= 0):
             raise ConfigError("density law produced a zero or negative popularity weight")
-        return w / math.fsum(w.tolist())
+        if not np.all(np.isfinite(w)):
+            raise ConfigError("density law produced a popularity weight past the float range")
+        # scaled by a power of two, exactly, so the sum of up to n weights of
+        # at most 1 cannot overflow; the normalized weights are the same
+        w = np.ldexp(w, -np.frexp(w.max())[1])
+        return w / math.fsum(memoryview(w))
 
 
 def _suffix_tail(p_sorted: np.ndarray) -> np.ndarray:
@@ -97,7 +103,7 @@ class ContentCatalog:
                 raise ConfigError("class representatives must be standardized (unit mean)")
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "class_of", class_of)
-        total = math.fsum(rates.tolist())  # tolist: fsum over numpy scalars is slow
+        total = math.fsum(memoryview(rates))  # over numpy scalars fsum is slow; a buffer gives floats
         object.__setattr__(self, "_total_rate", total)
         pop = rates / total
         object.__setattr__(self, "_popularity", pop)

@@ -142,6 +142,21 @@ def bisection_characteristic_time(occupancy, C, lo=0.0, hi=None, iters=1000):
     return 0.5 * (lo + hi)
 
 
+def single_stage_characteristic_time(occupancy_and_slope, C, total_rate, tol, max_steps=100):
+    """The characteristic-time solve before the Jensen start: Newton on
+    K(T) = C from T = C / total_rate, which K(T) <= total_rate * T puts
+    left of the root.  ``occupancy_and_slope(T)`` returns (K(T), K'(T));
+    the result is (T, |K(T) - C|, steps)."""
+    T, steps = C / total_rate, 0
+    k, slope = occupancy_and_slope(T)
+    while abs(k - C) > tol:
+        if steps == max_steps:
+            raise RuntimeError(f"no root within {max_steps} Newton steps")
+        T, steps = T - (k - C) / slope, steps + 1
+        k, slope = occupancy_and_slope(T)
+    return T, abs(k - C), steps
+
+
 def midpoint_power_integral(coefficient, exponent, phi, points=10_000_000):
     """Midpoint rule for integral_0^1 phi(c * x^(-a)) dx after the
     singularity-removing substitution x = u^(1/(1-a))."""

@@ -4,19 +4,23 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scipy import special
 
-from ttlapprox.approx import (_occupancy_and_slope, characteristic_time,
-                              concentration_curve, expected_occupancy, miss_probability,
-                              occupancy_derivative, tn_bracket, ttl_hit)
+from ttlapprox import approx
+from ttlapprox.approx import (_bound_parts, _occupancy_and_slope, _weighted_pass,
+                              characteristic_time, concentration_curve, expected_occupancy,
+                              miss_probability, occupancy_derivative, tn_bracket, ttl_hit)
 from ttlapprox.distributions import (Exponential, Gamma, Hyperexponential, MaxEnvelope,
                                      ParetoLomax, Weibull)
 from ttlapprox.errors import ConfigError
 from ttlapprox.popularity import ContentCatalog, ZipfLaw, build_catalog
 
-from oracles import bisection_characteristic_time
+from oracles import bisection_characteristic_time, single_stage_characteristic_time
 from test_distributions import ALL_FAMILIES
+from test_newton import families
 
 
 def poisson_catalog(n, alpha, total_rate):
@@ -267,6 +271,79 @@ class TestCharacteristicTime:
             h1 = ttl_hit(cat, res1.t)
             h2 = ttl_hit(scaled, res2.t)
             assert np.allclose(h1.per_content, h2.per_content, atol=1e-10)
+
+
+@st.composite
+def catalogs(draw):
+    """One- and two-class Zipf catalogs of 1 to 3000 contents; alpha = 0
+    gives identical rates, and up to about 100 contents every rate group
+    is a single content."""
+    n = draw(st.integers(1, 3000))
+    alpha = draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+    law = draw(families)
+    if n >= 2 and draw(st.booleans()):
+        law = [(0.5, law), (0.5, draw(families))]
+    return build_catalog(ZipfLaw(alpha), n, float(n), law)
+
+
+# the benchmark's hit-curve families, at n = 20000, Zipf 0.8 and 1.2, C/n = 0.05, 0.3, 0.9
+HIT_CURVE_FAMILIES = [Exponential(1.0), Gamma(0.5, 1.0), Weibull(0.7, 1.0),
+                      Hyperexponential((0.9, 0.1), (1.0, 0.1)), ParetoLomax(3.0, 1.0)]
+
+
+class TestJensenStart:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(cat=catalogs(), log_t=st.floats(-6.0, 6.0))
+    def test_bound_dominates_occupancy(self, cat, log_t):
+        # U(T), from the rate groups whose root starts the solve, is >= K(T)
+        T = 10.0 ** log_t  # the mean rate is 1
+        U = _weighted_pass(_bound_parts(cat), T)[0]
+        assert U >= expected_occupancy(cat, T) * (1.0 - 1e-12)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(cat=catalogs(), frac=st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+    def test_agrees_with_the_single_stage_solve(self, cat, frac):
+        C, rtol = 0.5 + frac * (cat.n - 1.0), 1e-9  # C in [0.5, n - 0.5]
+        res = characteristic_time(cat, C, rtol=rtol)
+        old, _, _ = single_stage_characteristic_time(
+            lambda T: _occupancy_and_slope(cat, T), C, cat.total_rate, rtol * C)
+        assert abs(expected_occupancy(cat, res.t) - C) <= rtol * C
+        # both meet |K - C| <= rtol C, and K' falls: they differ by at most
+        # 2 rtol C / K'(the larger)
+        assert abs(res.t - old) <= 2.0 * rtol * C / occupancy_derivative(cat, max(res.t, old))
+
+    @pytest.mark.parametrize("alpha, ratio", [(0.8, 0.3), (1.2, 0.9), (0.0, 0.05)])
+    @pytest.mark.parametrize("law", HIT_CURVE_FAMILIES + [[(0.3, Gamma(0.5, 1.0)),
+                                                           (0.7, Weibull(0.7, 1.0))]],
+                             ids=["exponential", "gamma", "weibull", "hyperexponential",
+                                  "pareto_lomax", "gamma+weibull"])
+    def test_matches_bisection(self, law, alpha, ratio):
+        n = 2000
+        cat = build_catalog(ZipfLaw(alpha), n, float(n), law)
+        res = characteristic_time(cat, ratio * n)
+        oracle = bisection_characteristic_time(lambda T: expected_occupancy(cat, T), ratio * n)
+        assert res.t == pytest.approx(oracle, rel=1e-8)
+
+    def test_two_full_passes_per_solve_on_the_hit_curve_grid(self, monkeypatch):
+        full = []
+
+        def counted(cat, T):
+            full.append(T)
+            return _occupancy_and_slope(cat, T)
+
+        monkeypatch.setattr(approx, "_occupancy_and_slope", counted)
+        n, steps = 20_000, 0
+        for law in HIT_CURVE_FAMILIES:
+            for alpha in (0.8, 1.2):
+                cat = build_catalog(ZipfLaw(alpha), n, float(n), law)
+                for ratio in (0.05, 0.3, 0.9):
+                    full.clear()
+                    res = characteristic_time(cat, ratio * n, rtol=1e-9)
+                    assert len(full) <= 2
+                    assert len(full) == res.iterations + 1
+                    assert res.residual <= 1e-9 * ratio * n
+                    steps += res.iterations
+        assert steps <= 40  # 150 from C / total_rate
 
 
 class TestTtlHit:

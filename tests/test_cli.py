@@ -254,6 +254,36 @@ class TestHugeTimer:
         assert payload["miss_probability"] == 0.0
 
 
+class TestExtremeParameters:
+    """Parameters at the float limit that once overflowed: each run ends in
+    an exit code, with finite JSON and no warning (pytest turns a
+    RuntimeWarning into a failure)."""
+
+    # (key path, new value, exit code of solve-ct, exit code of check-assumptions)
+    CASES = [
+        ("classes.0", {"family": "gamma", "params": {"shape": 1e308, "rate": 1.0}}, 2, 2),
+        ("classes.0", {"family": "erlang", "params": {"stages": 1e308, "rate": 1.0}}, 2, 2),
+        ("classes.0", {"family": "gamma", "params": {"shape": 1e30, "rate": 1.0}}, 0, 0),
+        ("classes.0", {"family": "weibull", "params": {"shape": 1e308, "scale": 1.0}}, 0, 0),
+        ("classes.0", {"family": "weibull", "params": {"shape": 1e308, "scale": 0.5}}, 0, 0),
+        ("popularity", {"density": {"constant": {"c": 1e308}}}, 0, 0),
+        ("popularity", {"density": {"tabulated": {"values": [1e308, 1.0]}}}, 0, 0),
+        ("popularity", {"density": {"power": {"c": 1e308, "alpha": 0.5}}}, 2, 2),
+        ("assumptions.psi", {"family": "gamma", "params": {"shape": 1e308, "rate": 1.0}}, 0, 2),
+    ]
+
+    @pytest.mark.parametrize("key, value, solve_code, check_code", CASES,
+                             ids=[f"{k}={json.dumps(v)}" for k, v, _, _ in CASES])
+    def test_ends_in_an_exit_code(self, tmp_path, capsys, key, value, solve_code, check_code):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(_mutated(base_config(), key, value)))
+        for command, code in (("solve-ct", solve_code), ("check-assumptions", check_code)):
+            assert cli.main(["--config", str(path), command]) == code
+            out = capsys.readouterr().out
+            if code == 0:
+                json.loads(out, parse_constant=_reject_constant)
+
+
 def _reject_constant(token):
     raise AssertionError(f"non-finite JSON token {token}")
 

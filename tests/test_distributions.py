@@ -202,6 +202,50 @@ class TestSupportLimits:
                 assert f(1e300) == limit
 
 
+class TestExtremeShapes:
+    """Shapes near the float limit end in a value or a ConfigError, never in
+    an OverflowError, a TypeError or a warning."""
+
+    @pytest.mark.parametrize("make", [lambda: Gamma(1e308, 1.0), lambda: Erlang(1e308, 1.0),
+                                      lambda: Gamma(3e305, 2.0)])
+    def test_gamma_shape_past_the_kernels_range_is_config_error(self, make):
+        with pytest.raises(ConfigError, match="gamma shape must be at most"):
+            make()
+
+    def test_gamma_parameters_are_floats(self):
+        d = Gamma(10**30, 2)
+        assert type(d.shape) is float and type(d.rate_param) is float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert d.pdf(1.0) == 0.0
+            assert d.cdf(1.0) == 0.0 and d.ccdf(1.0) == 1.0
+
+    def test_gamma_at_the_largest_shape(self):
+        d = Gamma(1e305, 1.0)
+        t = np.array([5e-324, 1.0, 1e305, np.finfo(float).max])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (d.cdf, d.ccdf, d.age_cdf, d.pdf):
+                v = f(t)
+                assert np.all((v >= 0.0) & (v <= 1.0))
+            assert list(d.cdf(t[[0, 1, 3]])) == [0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_weibull_density_of_a_huge_shape(self, scale):
+        d = Weibull(1e308, scale).standardize()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert list(d.pdf(np.array([0.5, 2.0, np.finfo(float).max]))) == [0.0, 0.0, 0.0]
+            assert d.pdf(2.0) == 0.0
+
+    @pytest.mark.parametrize("shape, scale", [(0.7, 1.5), (1.7, 0.6), (3.0, 2.0)])
+    def test_weibull_density_against_its_closed_form(self, shape, scale):
+        t = np.geomspace(1e-6, 10.0, 200)
+        z = t / scale
+        want = (shape / scale) * z ** (shape - 1.0) * np.exp(-z ** shape)
+        assert np.allclose(Weibull(shape, scale).pdf(t), want, rtol=1e-13, atol=0.0)
+
+
 class TestQuantiles:
     def test_exponential_age_quantile(self):
         assert Exponential(2.0).age_quantile(0.5) == pytest.approx(math.log(2) / 2, rel=1e-12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
-from ttlapprox.densities import PowerLawDensity
+from ttlapprox.densities import ConstantDensity, PowerLawDensity, TabulatedDensity
 from ttlapprox.distributions import Exponential, Gamma, MaxEnvelope, Weibull
 from ttlapprox.errors import ConfigError
 from ttlapprox.popularity import (ContentCatalog, DensityLaw, ZipfLaw, build_catalog,
@@ -28,8 +28,8 @@ class TestZipf:
 
 class TestExactSums:
     def test_list_fsum_equals_numpy_scalar_fsum(self):
-        # math.fsum over a list gives the same exactly rounded sum as over
-        # the array's numpy scalars, only faster
+        # math.fsum over the array's buffer gives the same exactly rounded
+        # sum as over its numpy scalars, only faster
         rng = np.random.default_rng(11)
         n = int(rng.integers(1000, 5000))
         rates = rng.lognormal(0.0, 3.0, n)
@@ -40,6 +40,38 @@ class TestExactSums:
         alpha = float(rng.uniform(0.0, 2.0))
         w = np.arange(1, n + 1, dtype=float) ** (-alpha)
         assert np.array_equal(zipf_popularity(n, alpha), w / math.fsum(w))
+
+
+    def test_strided_rates(self):
+        # a non-contiguous rates array sums through its buffer like a copy
+        rates = np.random.default_rng(12).lognormal(0.0, 3.0, 2001)[::2]
+        assert not rates.flags.c_contiguous
+        cat = ContentCatalog(rates=rates, classes=(Exponential(1.0),),
+                             class_of=np.zeros(rates.size, dtype=np.int64))
+        assert cat.total_rate == math.fsum(rates.tolist())
+        assert np.array_equal(cat.popularity, rates / math.fsum(rates.tolist()))
+
+
+class TestDensityWeights:
+    @pytest.mark.parametrize("density", [PowerLawDensity(0.2, 0.8), PowerLawDensity(3e-5, 0.5),
+                                         ConstantDensity(7.0), TabulatedDensity((3.0, 1e-3, 2.5))],
+                             ids=repr)
+    def test_scaling_leaves_the_weights_unchanged(self, density):
+        # the weights are scaled by a power of two before the sum, exactly
+        n = 1000
+        w = np.asarray(density((np.arange(1, n + 1) - 0.5) / n), dtype=float)
+        assert np.array_equal(DensityLaw(density).weights(n), w / math.fsum(w.tolist()))
+
+    @pytest.mark.parametrize("density", [ConstantDensity(1e308),
+                                         TabulatedDensity((1e308, 1.7e308))], ids=repr)
+    def test_weights_near_the_float_limit(self, density):
+        w = DensityLaw(density).weights(10)
+        assert math.fsum(w) == pytest.approx(1.0, abs=1e-15)
+        assert np.all(w > 0)
+
+    def test_weight_past_the_float_range_is_config_error(self):
+        with pytest.raises(ConfigError, match="past the float range"):
+            DensityLaw(PowerLawDensity(1e308, 0.5)).weights(10)
 
 
 class TestTail:

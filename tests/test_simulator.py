@@ -3,10 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from ttlapprox.approx import characteristic_time
-from ttlapprox.distributions import Exponential, Gamma, InterRequestDistribution, Weibull
+from ttlapprox.distributions import (Exponential, Gamma, Hyperexponential,
+                                     InterRequestDistribution, ParetoLomax, Weibull)
 from ttlapprox.errors import ConfigError
 from ttlapprox.popularity import ContentCatalog, ZipfLaw, build_catalog
 from ttlapprox.simulator import (_WINDOW_EVENTS, LRU, TTL, SimulationConfig, _Lru, _merged,
@@ -523,6 +526,50 @@ class TestTauSampling:
         e1 = rep.tau_exceedance(0.9 * Tn, 1.1 * Tn)
         e2 = rep.tau_exceedance(0.7 * Tn, 1.3 * Tn)
         assert e2 < e1
+
+
+SMALL_LAWS = [Exponential(1.0), Gamma(0.5, 1.0), Weibull(0.7, 1.0),
+              Hyperexponential((0.9, 0.1), (1.0, 0.1)), ParetoLomax(1.5, 1.0),
+              [(0.5, Gamma(0.5, 1.0)), (0.5, Weibull(0.7, 1.0))]]
+
+
+@st.composite
+def small_configs(draw, replications=1):
+    """An LRU (capacity 1 to n) or TTL run on a Zipf catalog of 2 to 40
+    contents, 2000 events of which the first 200 are warmup."""
+    n = draw(st.integers(2, 40))
+    cat = build_catalog(ZipfLaw(draw(st.floats(0.0, 2.0))), n, float(n),
+                        draw(st.sampled_from(SMALL_LAWS)))
+    policy = draw(st.one_of(st.builds(LRU, st.integers(1, n)),
+                            st.builds(TTL, st.floats(0.01, 10.0))))
+    return SimulationConfig(catalog=cat, policy=policy, horizon_events=2000, warmup_events=200,
+                            seed=draw(st.integers(0, 2**32 - 1)), replications=replications,
+                            check_invariants=isinstance(policy, LRU))
+
+
+class TestProperties:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(cfg=small_configs())
+    def test_hits_within_requests(self, cfg):
+        # check_invariants raises if the LRU ever holds more than C contents
+        rep = run(cfg)
+        assert rep.total_requests == 1800
+        assert np.all((0 <= rep.hits) & (rep.hits <= rep.requests))
+        if isinstance(cfg.policy, LRU) and cfg.policy.capacity == cfg.catalog.n:
+            # nothing is evicted, so each content misses at most once
+            assert np.all(rep.requests - rep.hits <= 1)
+
+    @settings(derandomize=True, deadline=None, max_examples=15)
+    @given(cfg=small_configs(replications=3))
+    def test_report_independent_of_workers(self, cfg):
+        a = replicate(cfg, workers=1)
+        b = replicate(cfg, workers=2)
+        assert np.array_equal(a.hits, b.hits)
+        assert np.array_equal(a.requests, b.requests)
+        assert np.array_equal(a.per_replication_aggregate, b.per_replication_aggregate)
+        assert np.array_equal(a.hit_ratio_stderr, b.hit_ratio_stderr, equal_nan=True)
+        assert a.aggregate_stderr == b.aggregate_stderr
+        assert a.elapsed_time == b.elapsed_time
 
 
 class TestReplicate:
