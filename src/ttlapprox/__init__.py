@@ -7,25 +7,23 @@ large-system limits, and validates everything against an exact
 simulator fed by independent stationary renewal streams.  The simulator
 merges each time window's requests in one vectorized batch; only the LRU
 pointer scan over the merged requests runs per request.
+
+The package exports the public names of its library modules, each listed
+in that module's ``__all__``; the command line lives in ``ttlapprox.cli``.
 """
 
-from .approx import (CharacteristicTimeResult, ConcentrationCurve, TtlHit,
-                     characteristic_time, concentration_curve, expected_occupancy,
-                     miss_probability, occupancy_derivative, tn_bracket, ttl_hit)
-from .asymptotics import (AsymptoticModel, ModelClass, Nu0Result, beta_fn,
-                          fagin_catalog, hit_limit, hit_limit_by_class, rate_curve,
-                          solve_nu0, tn_asymptotic, zipf_gn)
-from .densities import ConstantDensity, PowerLawDensity, TabulatedDensity
-from .distributions import (EnvelopeReport, Erlang, Exponential, Gamma,
-                            Hyperexponential, InterRequestDistribution, MaxEnvelope,
-                            ParetoLomax, SmoothnessReport, Weibull, check_envelope,
-                            check_smoothness, distribution_from_config)
-from .errors import ConfigError, NumericsError, QuadratureError
-from .experiments import (AssumptionParams, AssumptionsReport, ConvergenceRow,
-                          SweepSpec, check_assumptions, convergence_sweep, emit)
-from .popularity import (ContentCatalog, DensityLaw, P1Report, ZipfLaw, build_catalog,
-                         check_P1, zipf_popularity)
-from .simulator import (LRU, TTL, SimulationConfig, SimulationReport, init_stationary,
-                        replicate, run)
+from . import (approx, asymptotics, densities, distributions, errors, experiments, popularity,
+               simulator)
+from .approx import *  # noqa: F401,F403
+from .asymptotics import *  # noqa: F401,F403
+from .densities import *  # noqa: F401,F403
+from .distributions import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .experiments import *  # noqa: F401,F403
+from .popularity import *  # noqa: F401,F403
+from .simulator import *  # noqa: F401,F403
+
+__all__ = [name for module in (approx, asymptotics, densities, distributions, errors,
+                               experiments, popularity, simulator) for name in module.__all__]
 
 __version__ = "0.1.0"

@@ -37,7 +37,6 @@ __all__ = [
     "solve_nu0",
     "hit_limit",
     "hit_limit_by_class",
-    "zipf_gn",
     "tn_asymptotic",
     "rate_curve",
     "fagin_catalog",
@@ -181,22 +180,6 @@ def hit_limit_by_class(model: AsymptoticModel, nu0: float | None = None) -> list
         nu0 = solve_nu0(model).nu0
     return [c.weight * float(_class_integral(c, lambda fv: fv * c.psi.cdf(nu0 * fv)))
             for c in model.classes]
-
-
-def zipf_gn(alpha: float, n: int) -> float:
-    """Asymptotic popularity scale factor for Zipf weights i^(-alpha), in the
-    f(x) = x^(-alpha) convention: (1-alpha)/n for alpha < 1, 1/(n log n) at
-    alpha = 1, and 1/(zeta(alpha) n^alpha) for alpha > 1."""
-    if alpha < 0:
-        raise ConfigError(f"alpha must be >= 0, got {alpha}")
-    if n < 2:
-        raise ConfigError(f"n must be >= 2, got {n}")
-    if alpha < 1.0:
-        return (1.0 - alpha) / n
-    if alpha == 1.0:
-        return 1.0 / (n * math.log(n))
-    from scipy.special import zeta
-    return 1.0 / (float(zeta(alpha)) * n ** alpha)
 
 
 def tn_asymptotic(model: AsymptoticModel, g_n: float, Lambda_n: float,

@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -268,7 +269,7 @@ def _cmd_limit(args):
     res = asymptotics.solve_nu0(model)
     contributions = asymptotics.hit_limit_by_class(model, res.nu0)
     payload = {"nu0": res.nu0, "residual": res.residual,
-               "hit_limit": float(sum(contributions)),
+               "hit_limit": math.fsum(contributions),
                "per_class": list(contributions)}
     if args.tn_asymptotic:
         spec = cfg["limit"]

@@ -10,16 +10,16 @@ distribution
     age_cdf(t) = rate * integral_0^t (1 - G(z)) dz,
 
 which is the stationary distribution of the time since (equivalently,
-until) the last (next) request, plus quantiles and seeded samplers for
-both laws.  Each family defines four kernels on 0 < t < inf, each exact
+until) the last (next) request, its quantile, and seeded batch samplers
+for both laws.  Each family defines four kernels on 0 < t < inf, each exact
 in its own tail: ``_cdf``, ``_ccdf``, ``_pdf`` and ``_age_cdf_ccdf``, the
 age cdf and the ccdf together, the value and slope of every Newton step
 in the package (Gamma and Erlang take both from one incomplete-gamma call
 per point).  The base class takes the limits at t <= 0 and t = inf in one
-place, so no kernel sees a point outside its domain.  Quantiles without
-a closed form come from ``monotone_newton``, the package's one root
-finder: both cdfs are concave where it is used, so Newton from 0 rises to
-the root with no bracket.  ``standardize`` rescales to unit mean, the
+place, so no kernel sees a point outside its domain.  An age quantile
+without a closed form comes from ``monotone_newton``, the package's one
+root finder: the age cdf is concave, so Newton from 0 rises to the root
+with no bracket.  ``standardize`` rescales to unit mean, the
 form used by envelope and smoothness checks.
 The package's one quadrature rule, ``_adaptive_gauss``, lives here too:
 ``MaxEnvelope`` and the limit integrals of ``asymptotics`` both use it.
@@ -53,23 +53,14 @@ __all__ = [
 ]
 
 
-def _as_array(t):
-    a = np.asarray(t, dtype=float)
-    return a, (a.ndim == 0)
-
-
-def _ret(a, scalar):
-    return float(a) if scalar else a
-
-
 def _on_support(kernel, t, at_zero, at_inf):
     """kernel(t) where 0 < t < inf; the limit at_zero at t <= 0 and at_inf
     at t = inf.  The kernel sees 1.0 in place of every point outside its
     domain, so it never evaluates one."""
-    a, scalar = _as_array(t)
+    a = np.asarray(t, dtype=float)
     inside = (a > 0.0) & (a < np.inf)
     out = np.where(inside, kernel(np.where(inside, a, 1.0)), np.where(a > 0.0, at_inf, at_zero))
-    return _ret(out, scalar)
+    return float(out) if a.ndim == 0 else out
 
 
 def _check_unit(u):
@@ -173,7 +164,9 @@ def _adaptive_gauss(g, tol: float):
 
 
 class InterRequestDistribution:
-    """Base class; families define the four kernels, exact on 0 < t < inf."""
+    """Base class; families define the four kernels, exact on 0 < t < inf,
+    the mean, and the two batch samplers.  The base class derives the
+    public laws, the age quantile and the unit-mean form from them."""
 
     # --- family kernels, on 0 < t < inf -----------------------------------
 
@@ -218,10 +211,6 @@ class InterRequestDistribution:
         """Integrated-tail cdf: rate * integral_0^t ccdf(z) dz."""
         return _on_support(lambda s: self._age_cdf_ccdf(s)[0], t, 0.0, 1.0)
 
-    def age_pdf(self, t):
-        a, scalar = _as_array(t)
-        return _ret(np.where(a < 0, 0.0, self.rate * self.ccdf(a)), scalar)
-
     def age_quantile(self, u: float) -> float:
         """Inverse of age_cdf, by monotone Newton from 0: the age cdf is
         concave because its slope rate * ccdf never increases.
@@ -245,18 +234,10 @@ class InterRequestDistribution:
             raise ConfigError(f"{self!r} has mean {self.mean!r}, not a positive finite number")
         return self._scaled(1.0 / self.mean)
 
-    def scaled_to_mean(self, m: float) -> "InterRequestDistribution":
-        if m <= 0:
-            raise ConfigError(f"mean must be positive, got {m}")
-        return self._scaled(m / self.mean)
-
     # --- sampling ----------------------------------------------------------
 
     def sample_inter_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
-
-    def sample_age(self, rng: np.random.Generator) -> float:
-        return float(self.sample_age_batch(rng, 1)[0])
 
     def sample_age_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Exact stationary age draws, without root finding.
@@ -293,12 +274,9 @@ class Exponential(InterRequestDistribution):
         # memoryless: the age distribution coincides with the cdf
         return self._cdf(t), self._ccdf(t)
 
-    def quantile(self, u):
+    def age_quantile(self, u):
         _check_unit(u)
         return -math.log1p(-u) / self.rate_param
-
-    def age_quantile(self, u):
-        return self.quantile(u)
 
     def _scaled(self, f):
         return Exponential(self.rate_param / f)
@@ -338,7 +316,7 @@ class Gamma(InterRequestDistribution):
             return np.minimum(self.rate_param * t, sys.float_info.max)
 
     def _regularized(self, t):
-        """(x/k, P(k, x), Q(k, x), P(k+1, x)) at x = rate * t, with one
+        """(x, P(k, x), Q(k, x), P(k+1, x)) at x = rate * t, with one
         incomplete-gamma call per point.
 
         With D = x^k e^-x / Gamma(k+1): below x = k + 1 the series for
@@ -359,7 +337,7 @@ class Gamma(InterRequestDistribution):
         q[hi] = sc.gammaincc(k, x[hi])
         p[hi] = 1.0 - q[hi]
         p1[hi] = 1.0 - (q[hi] + d[hi])
-        return x / k, p, q, p1
+        return x, p, q, p1
 
     def _cdf(self, t):
         return self._regularized(t)[1]
@@ -374,13 +352,11 @@ class Gamma(InterRequestDistribution):
 
     def _age_cdf_ccdf(self, t):
         # integral of the ccdf via the partial-expectation identity:
-        # int_0^t ccdf = t*ccdf(t) + E[X; X<=t],  E[X; X<=t] = mean * P(shape+1, rate*t)
-        xk, _, q, p1 = self._regularized(t)
-        return np.minimum(xk * q + p1, 1.0), q
-
-    def quantile(self, u):
-        _check_unit(u)
-        return float(sc.gammaincinv(self.shape, u)) / self.rate_param
+        # int_0^t ccdf = t*ccdf(t) + E[X; X<=t],  E[X; X<=t] = mean * P(shape+1, rate*t);
+        # x/k is formed only where Q > 0: below shape 1 it overflows near the
+        # float limit, where Q = 0
+        x, _, q, p1 = self._regularized(t)
+        return np.minimum(np.where(q > 0.0, x, 0.0) / self.shape * q + p1, 1.0), q
 
     def _scaled(self, f):
         return Gamma(self.shape, self.rate_param / f)
@@ -450,10 +426,6 @@ class Weibull(InterRequestDistribution):
         part = t * ccdf + self.mean * sc.gammainc(1.0 + 1.0 / self.shape, z)
         return np.minimum(part / self.mean, 1.0), ccdf
 
-    def quantile(self, u):
-        _check_unit(u)
-        return self.scale * (-math.log1p(-u)) ** (1.0 / self.shape)
-
     def _scaled(self, f):
         return Weibull(self.shape, self.scale * f)
 
@@ -516,13 +488,6 @@ class Hyperexponential(InterRequestDistribution):
         wa = self._w / self._r / self.mean
         return -(np.expm1(x) @ wa), np.exp(x) @ self._w
 
-    def quantile(self, u):
-        # a mixture of exponentials has a concave cdf; the slope is _pdf,
-        # since pdf(0) is 0 by convention
-        _check_unit(u)
-        return monotone_newton(lambda t: (self.cdf(t) - u, float(self._pdf(t))), 0.0,
-                               _QUANTILE_RTOL * u)[0]
-
     def _scaled(self, f):
         return Hyperexponential(self.weights, tuple(r / f for r in self.rates))
 
@@ -573,10 +538,6 @@ class ParetoLomax(InterRequestDistribution):
         # the age law is again Lomax with shape-1
         lg = self._log1p(t)
         return -np.expm1(-(self.shape - 1.0) * lg), np.exp(-self.shape * lg)
-
-    def quantile(self, u):
-        _check_unit(u)
-        return self.scale * math.expm1(-math.log1p(-u) / self.shape)
 
     def age_quantile(self, u):
         _check_unit(u)

@@ -19,7 +19,6 @@ from .errors import ConfigError
 __all__ = [
     "ZipfLaw",
     "DensityLaw",
-    "zipf_popularity",
     "ContentCatalog",
     "build_catalog",
     "P1Report",
@@ -27,22 +26,18 @@ __all__ = [
 ]
 
 
-def zipf_popularity(n: int, alpha: float) -> np.ndarray:
-    """Zipf weights p_i = i^(-alpha) / sum_j j^(-alpha), already sorted."""
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
-    if alpha < 0:
-        raise ConfigError(f"alpha must be >= 0, got {alpha}")
-    w = np.arange(1, n + 1, dtype=float) ** (-alpha)
-    return w / math.fsum(memoryview(w))
-
-
 @dataclass(frozen=True)
 class ZipfLaw:
     alpha: float
 
     def weights(self, n: int) -> np.ndarray:
-        return zipf_popularity(n, self.alpha)
+        """Zipf weights p_i = i^(-alpha) / sum_j j^(-alpha), already sorted."""
+        if n < 1:
+            raise ConfigError(f"n must be >= 1, got {n}")
+        if self.alpha < 0:
+            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+        w = np.arange(1, n + 1, dtype=float) ** (-self.alpha)
+        return w / math.fsum(memoryview(w))
 
 
 @dataclass(frozen=True)

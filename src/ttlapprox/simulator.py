@@ -159,11 +159,6 @@ class SimulationReport:
     def aggregate_hit(self) -> float:
         return float(self.hits.sum() / max(self.requests.sum(), 1))
 
-    def tau_quantile(self, q) -> float:
-        if self.tau_samples.size == 0:
-            raise ConfigError("no reuse-window samples were collected")
-        return float(np.quantile(self.tau_samples, q))
-
     def tau_exceedance(self, low: float, high: float) -> float:
         """Fraction of sampled windows outside [low, high]."""
         if self.tau_samples.size == 0:
@@ -355,7 +350,12 @@ class _Lru:
         return hit
 
 
-def _simulate(config: SimulationConfig, replication: int, trace=None):
+def run(config: SimulationConfig, replication: int = 0, trace=None) -> SimulationReport:
+    """Execute one replication and report request-epoch hit statistics.
+
+    ``trace``, if given, is called as trace(time, content, hit) for every
+    measured request, in time order.
+    """
     catalog, policy = config.catalog, config.policy
     n = catalog.n
     nxt, rng = init_stationary(catalog, config.seed, replication)
@@ -417,18 +417,8 @@ def _simulate(config: SimulationConfig, replication: int, trace=None):
         if times.size:
             now = float(times[-1])
     elapsed = now - t_start if t_start is not None else 0.0
-    return reqs, hits, elapsed, np.asarray(taus, dtype=float)
-
-
-def run(config: SimulationConfig, replication: int = 0, trace=None) -> SimulationReport:
-    """Execute one replication and report request-epoch hit statistics.
-
-    ``trace``, if given, is called as trace(time, content, hit) for every
-    measured request, in time order.
-    """
-    reqs, hits, elapsed, taus = _simulate(config, replication, trace)
     return SimulationReport(requests=reqs, hits=hits, elapsed_time=elapsed,
-                            tau_samples=taus, replications=1)
+                            tau_samples=np.asarray(taus, dtype=float), replications=1)
 
 
 def _replicate_worker(job):

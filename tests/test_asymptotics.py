@@ -6,7 +6,7 @@ import pytest
 from ttlapprox.approx import characteristic_time
 from ttlapprox.asymptotics import (_QUAD_ATOL, AsymptoticModel, ModelClass, _class_integral,
                                    beta_fn, fagin_catalog, hit_limit, hit_limit_by_class,
-                                   rate_curve, solve_nu0, tn_asymptotic, zipf_gn)
+                                   rate_curve, solve_nu0, tn_asymptotic)
 from ttlapprox.densities import ConstantDensity, PowerLawDensity, TabulatedDensity
 from ttlapprox.distributions import Exponential, Gamma
 from ttlapprox.errors import ConfigError, NumericsError, QuadratureError
@@ -228,13 +228,6 @@ class TestTnAsymptotic:
             ratios.append(characteristic_time(cat, 0.3 * n).t / pred)
         assert abs(ratios[-1] - 1.0) < 0.03
         assert abs(ratios[-1] - 1.0) <= abs(ratios[0] - 1.0)
-
-    def test_gn_table(self):
-        assert zipf_gn(0.8, 1000) == pytest.approx(0.2 / 1000, rel=1e-12)
-        assert zipf_gn(1.0, 1000) == pytest.approx(1.0 / (1000 * math.log(1000)), rel=1e-12)
-        from scipy.special import zeta
-        assert zipf_gn(1.5, 1000) == pytest.approx(1.0 / (float(zeta(1.5)) * 1000 ** 1.5),
-                                                   rel=1e-12)
 
 
     @pytest.mark.parametrize("g_n, Lambda_n", [(1e-6, 5e-324), (1e-3, 1e-310)])

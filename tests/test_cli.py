@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from ttlapprox import cli
 from ttlapprox.approx import expected_occupancy
-from ttlapprox.distributions import Exponential
+from ttlapprox.asymptotics import AsymptoticModel, ModelClass, hit_limit, solve_nu0
+from ttlapprox.densities import PowerLawDensity
+from ttlapprox.distributions import Exponential, distribution_from_config
 from ttlapprox.errors import NumericsError
 from ttlapprox.popularity import ZipfLaw, build_catalog
 
@@ -122,6 +124,24 @@ class TestLimit:
         assert payload["hit_limit"] == pytest.approx(0.7068549, abs=1e-5)
         assert payload["per_class"] == [payload["hit_limit"]]
         assert payload["tn_asymptotic"] == pytest.approx(payload["nu0"], rel=1e-12)
+
+    def test_hit_limit_is_the_exact_sum_of_the_classes(self, tmp_path, capsys):
+        # with three classes the plain sum rounds differently: 0.9789445897134863
+        density = {"power": {"c": 0.2, "alpha": 0.8}}
+        laws = [("gamma", {"shape": 2.0, "rate": 1.0}, 0.2),
+                ("pareto_lomax", {"shape": 3.0, "scale": 1.0}, 0.3),
+                ("exponential", {"rate": 1.0}, 0.5)]
+        limit = {"beta0": 0.9, "classes": [
+            {"weight": w, "density": density, "psi": {"family": f, "params": p}}
+            for f, p, w in laws]}
+        assert cli.main(["--config", write_config(tmp_path, {"limit": limit}), "limit"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        model = AsymptoticModel(tuple(
+            ModelClass(w, PowerLawDensity(0.2, 0.8),
+                       distribution_from_config({"family": f, "params": p}).standardize())
+            for f, p, w in laws), 0.9)
+        assert payload["nu0"] == solve_nu0(model).nu0
+        assert payload["hit_limit"] == hit_limit(model) == math.fsum(payload["per_class"])
 
 
 class TestSweepCommand:

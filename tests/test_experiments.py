@@ -145,6 +145,17 @@ class TestImports:
                               text=True, timeout=120, check=True)
         assert done.stdout.strip() == "[]"
 
+    def test_package_exports_the_union_of_the_layers(self):
+        from ttlapprox import (approx, asymptotics, cli, densities, distributions, errors,
+                               experiments, popularity, simulator)
+        layers = (approx, asymptotics, cli, densities, distributions, errors, experiments,
+                  popularity, simulator)
+        union = {(name, m) for m in layers for name in m.__all__} - {("main", cli)}
+        assert len(ttlapprox.__all__) == len(union)
+        assert set(ttlapprox.__all__) == {name for name, _ in union}
+        for name, m in union:
+            assert getattr(ttlapprox, name) is getattr(m, name)
+
 
 class TestEmit:
     def test_empty_table_header_only(self, tmp_path):

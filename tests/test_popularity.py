@@ -8,19 +8,19 @@ from ttlapprox.densities import ConstantDensity, PowerLawDensity, TabulatedDensi
 from ttlapprox.distributions import Exponential, Gamma, MaxEnvelope, Weibull
 from ttlapprox.errors import ConfigError
 from ttlapprox.popularity import (ContentCatalog, DensityLaw, ZipfLaw, build_catalog,
-                                  check_P1, zipf_popularity)
+                                  check_P1)
 
 
 class TestZipf:
     def test_n3_alpha1(self):
-        p = zipf_popularity(3, 1.0)
+        p = ZipfLaw(1.0).weights(3)
         assert np.allclose(p, [6 / 11, 3 / 11, 2 / 11], atol=1e-15)
 
     def test_uniform(self):
-        assert np.allclose(zipf_popularity(5, 0.0), 0.2, atol=1e-15)
+        assert np.allclose(ZipfLaw(0.0).weights(5), 0.2, atol=1e-15)
 
     def test_large_catalog_identities(self):
-        p = zipf_popularity(10**4, 0.8)
+        p = ZipfLaw(0.8).weights(10**4)
         assert math.fsum(p) == pytest.approx(1.0, abs=1e-12)
         assert p[0] / p[1] == pytest.approx(2.0 ** 0.8, abs=1e-12)
         assert np.all(np.diff(p) <= 0)
@@ -39,7 +39,7 @@ class TestExactSums:
         assert np.array_equal(cat.popularity, rates / math.fsum(rates))
         alpha = float(rng.uniform(0.0, 2.0))
         w = np.arange(1, n + 1, dtype=float) ** (-alpha)
-        assert np.array_equal(zipf_popularity(n, alpha), w / math.fsum(w))
+        assert np.array_equal(ZipfLaw(alpha).weights(n), w / math.fsum(w))
 
 
     def test_strided_rates(self):
@@ -223,7 +223,7 @@ class TestBuildCatalog:
         gaps = []
         for n in (10**3, 10**4):
             dens = law.weights(n)
-            zipf = zipf_popularity(n, alpha)
+            zipf = ZipfLaw(alpha).weights(n)
             lo = int(math.isqrt(n))
             gaps.append(np.max(np.abs(dens[lo:] / zipf[lo:] - 1.0)))
         assert gaps[1] < gaps[0]

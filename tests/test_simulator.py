@@ -107,11 +107,12 @@ class TestStationaryInit:
             assert abs((x <= t).mean() - (1 - math.exp(-2 * t))) < 0.01
 
     def test_gamma_age_law_at_grid_points(self):
+        # unit-rate contents: every first arrival is a draw from d's age law
         d = Gamma(2.0, 2.0)
-        cat = ContentCatalog(rates=np.ones(1), classes=(d,),
-                             class_of=np.zeros(1, dtype=np.int64))
-        rng = np.random.default_rng(0)
-        x = np.array([d.sample_age(rng) for _ in range(100_000)])
+        n = 100_000
+        cat = ContentCatalog(rates=np.ones(n), classes=(d,),
+                             class_of=np.zeros(n, dtype=np.int64))
+        x, _ = init_stationary(cat, 0)
         for t in (0.25, 0.5, 1.0, 2.0, 4.0):
             assert abs((x <= t).mean() - d.age_cdf(t)) < 0.005
 
@@ -521,7 +522,7 @@ class TestTauSampling:
                                warmup_events=2_000, seed=23, tau_stride=4)
         rep = run(cfg)
         assert rep.tau_samples.size > 20_000
-        assert rep.tau_quantile(0.5) == pytest.approx(Tn, rel=0.05)
+        assert float(np.quantile(rep.tau_samples, 0.5)) == pytest.approx(Tn, rel=0.05)
         # exceedance shrinks with the band width
         e1 = rep.tau_exceedance(0.9 * Tn, 1.1 * Tn)
         e2 = rep.tau_exceedance(0.7 * Tn, 1.3 * Tn)
