@@ -49,13 +49,11 @@ def _weighted_pass(parts, T: float) -> tuple[float, float]:
         raise ConfigError(f"T must be >= 0, got {T}")
     k, slope = [], []
     # scale-family identity: the age cdf (ccdf) of a content at T is the
-    # class age cdf (ccdf) at rate*T
+    # class age cdf (ccdf) at rate*T, whose limit is taken past the float range
     for dist, rates, w in parts:
         with np.errstate(over="ignore"):
             x = rates * T
-        # rate*T past the float range (or T = inf): the public kernels take the limits
-        wide = x.max(initial=0.0) == math.inf
-        age, ccdf = (dist.age_cdf(x), dist.ccdf(x)) if wide else dist._age_cdf_ccdf(x)
+        age, ccdf = dist.age_cdf_ccdf(x)
         k.append(float(np.sum(w * age)))
         slope.append(float(np.sum(w * rates * ccdf)))
     return math.fsum(k), math.fsum(slope)

@@ -89,16 +89,21 @@ class AsymptoticModel:
                 "expected 1")
 
 
-def _class_integral(cls: ModelClass, fn_of_f) -> np.ndarray:
-    """Integrate fn_of_f(f(x)) dx over (0, 1] for one class.
+def _class_integral(cls: ModelClass, fn_of_f, by_f=False) -> np.ndarray:
+    """Integrate fn_of_f(f(x)) dx over (0, 1] for one class, times f(x)
+    in the components that by_f flags.
 
     fn_of_f is vectorized: it maps an array of density values to values
     along its last axis, with any number of leading components, and the
-    result has the leading shape.  Power-law densities are integrated
-    after the substitution x = u^(1/(1-alpha)), which removes the endpoint
-    singularity and leaves a bounded integrand for ``_adaptive_gauss``;
-    constants need no quadrature; tabulated densities use the midpoint
-    rule on their own grid, all nodes in one call.
+    result has the leading shape; by_f is one flag, or one per leading
+    component.  Power-law densities c x^(-alpha) are integrated after the
+    substitution x = u^(1/(1-alpha)), which removes the endpoint
+    singularity and leaves a bounded integrand for ``_adaptive_gauss``:
+    dx = u^q du / (1-alpha) and f dx = c du / (1-alpha), q = alpha/(1-alpha).
+    Near u = 0, f overflows to inf (where the kernels take their limits)
+    and u^q underflows once q is large, so f dx is never formed as their
+    product.  Constants need no quadrature; tabulated densities use the
+    midpoint rule on their own grid, all nodes in one call.
 
     Raises
     ------
@@ -107,11 +112,17 @@ def _class_integral(cls: ModelClass, fn_of_f) -> np.ndarray:
         rule does not meet its tolerance.
     """
     f = cls.density
+    by_f = np.reshape(by_f, np.shape(by_f) + (1,))  # against the points axis
     if isinstance(f, PowerLawDensity) and f.exponent > 0.0:
         a = f.exponent
         q = a / (1.0 - a)
-        return _adaptive_gauss(lambda u: fn_of_f(f.coefficient * u ** (-q)) * (u ** q / (1.0 - a)),
-                               _QUAD_ATOL / 10)[0]
+
+        def integrand(u):
+            with np.errstate(over="ignore"):
+                fv = f.coefficient * u ** (-q)
+            return fn_of_f(fv) * (np.where(by_f, f.coefficient, u ** q) / (1.0 - a))
+
+        return _adaptive_gauss(integrand, _QUAD_ATOL / 10)[0]
     if isinstance(f, ConstantDensity):
         table = [f.value]
     elif isinstance(f, PowerLawDensity):
@@ -120,20 +131,28 @@ def _class_integral(cls: ModelClass, fn_of_f) -> np.ndarray:
         table = f.values
     else:
         raise ConfigError(f"unsupported density type {type(f).__name__}")
-    return np.mean(_finite(fn_of_f(np.asarray(table, dtype=float))), axis=-1)
+    fv = np.asarray(table, dtype=float)
+    return np.mean(_finite(fn_of_f(fv) * np.where(by_f, fv, 1.0)), axis=-1)
+
+
+def _nu_times(nu: float, fv):
+    """nu * fv: inf past the float range, and 0 at nu = 0 even where fv is inf."""
+    if nu == 0.0:
+        return np.zeros_like(fv)
+    with np.errstate(over="ignore"):
+        return nu * fv
 
 
 def _beta_and_slope(model: AsymptoticModel, nu: float) -> tuple[float, float]:
     """(beta(nu), beta'(nu)) from one quadrature per class of the fused
-    age-cdf/ccdf kernel."""
+    age-cdf/ccdf kernel; the slope integrates f * ccdf."""
     if nu < 0:
         raise ConfigError(f"nu must be >= 0, got {nu}")
     beta, slope = [], []
     for c in model.classes:
         def integrand(fv):
-            age, ccdf = c.psi._age_cdf_ccdf(nu * fv)
-            return np.stack((age, fv * ccdf))
-        b, s = c.weight * _class_integral(c, integrand)
+            return np.stack(c.psi.age_cdf_ccdf(_nu_times(nu, fv)))
+        b, s = c.weight * _class_integral(c, integrand, (False, True))
         beta.append(b)
         slope.append(s)
     # quadrature rounding can land a few ulp above 1
@@ -178,7 +197,7 @@ def hit_limit_by_class(model: AsymptoticModel, nu0: float | None = None) -> list
     """Per-class contributions b_j * integral f_j(x) psi_j(nu0 f_j(x)) dx."""
     if nu0 is None:
         nu0 = solve_nu0(model).nu0
-    return [c.weight * float(_class_integral(c, lambda fv: fv * c.psi.cdf(nu0 * fv)))
+    return [c.weight * float(_class_integral(c, lambda fv: c.psi.cdf(_nu_times(nu0, fv)), True))
             for c in model.classes]
 
 

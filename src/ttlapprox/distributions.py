@@ -16,7 +16,8 @@ in its own tail: ``_cdf``, ``_ccdf``, ``_pdf`` and ``_age_cdf_ccdf``, the
 age cdf and the ccdf together, the value and slope of every Newton step
 in the package (Gamma and Erlang take both from one incomplete-gamma call
 per point).  The base class takes the limits at t <= 0 and t = inf in one
-place, so no kernel sees a point outside its domain.  An age quantile
+place, so no kernel sees a point outside its domain; ``age_cdf_ccdf`` is
+the fused kernel with its limits.  An age quantile
 without a closed form comes from ``monotone_newton``, the package's one
 root finder: the age cdf is concave, so Newton from 0 rises to the root
 with no bracket.  ``standardize`` rescales to unit mean, the
@@ -56,11 +57,12 @@ __all__ = [
 def _on_support(kernel, t, at_zero, at_inf):
     """kernel(t) where 0 < t < inf; the limit at_zero at t <= 0 and at_inf
     at t = inf.  The kernel sees 1.0 in place of every point outside its
-    domain, so it never evaluates one."""
+    domain, so it never evaluates one.  A kernel may return values along
+    a leading axis, with limits that broadcast against them."""
     a = np.asarray(t, dtype=float)
     inside = (a > 0.0) & (a < np.inf)
     out = np.where(inside, kernel(np.where(inside, a, 1.0)), np.where(a > 0.0, at_inf, at_zero))
-    return float(out) if a.ndim == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def _check_unit(u):
@@ -210,6 +212,15 @@ class InterRequestDistribution:
     def age_cdf(self, t):
         """Integrated-tail cdf: rate * integral_0^t ccdf(z) dz."""
         return _on_support(lambda s: self._age_cdf_ccdf(s)[0], t, 0.0, 1.0)
+
+    def age_cdf_ccdf(self, t):
+        """(age_cdf(t), ccdf(t)) from one call of the fused kernel."""
+        a = np.asarray(t, dtype=float)
+        if a.size and 0.0 < a.min() <= a.max() < np.inf:  # no limit to take: no copies either
+            return self._age_cdf_ccdf(a)
+        limits = np.reshape((0.0, 1.0, 1.0, 0.0), (2, 2) + (1,) * a.ndim)
+        age, ccdf = _on_support(lambda s: np.stack(self._age_cdf_ccdf(s)), a, *limits)
+        return age, ccdf
 
     def age_quantile(self, u: float) -> float:
         """Inverse of age_cdf, by monotone Newton from 0: the age cdf is

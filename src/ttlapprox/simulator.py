@@ -6,26 +6,26 @@ in steady state, and subsequent gaps are i.i.d. inter-request draws.
 Hit/miss indicators are recorded at request epochs after warmup, which
 matches the request-average definition of hit probability.
 
-One engine serves both policies.  It cuts time into windows of about
-2**14 expected requests; in each window the contents whose next request
-falls inside draw their gaps in one vectorized call per class.  One
-cumulative sum runs over all of these gaps; less its value before a
-content's first gap, it gives that content's request times from its
-pending one, and the times before the window's end are a prefix of them.
-The window's requests are merged in time order (ties broken by content
-index).  LRU depends on this merged sequence alone (the stack view of
-Mattson et al. 1970): the cache holds the contents whose latest request
-lies at or after a pointer into the sequence that only moves forward, so
-the one per-request Python loop is a pointer scan that costs a list
-load, a compare and a store per request.  A reset-timer cache needs no
-loop, because a request hits iff the same content's previous request is
-at most the timer earlier.
+One request stream, which knows nothing of the policy, feeds both
+policies.  It cuts time into windows of about 2**14 expected requests; in
+each window the contents whose next request falls inside draw their gaps
+in one vectorized call per class.  One cumulative sum runs over all of
+these gaps; less its value before a content's first gap, it gives that
+content's request times from its pending one, and the times before the
+window's end are a prefix of them.  The window's measured requests are
+merged in time order (ties broken by content index), each with the same
+content's previous request time; a window wholly inside the warmup still
+draws its gaps, from the same stream, but is not merged.
 
-A window that lies wholly inside the warmup still draws its gaps, from
-the same stream, but is neither merged nor scanned.  The cache at any
-moment is the C most recently requested contents, so the LRU starts at
-the first measured request, from each content's latest request before
-it, and no earlier request is scanned.
+LRU depends on the merged sequence alone (the stack view of Mattson et
+al. 1970): the cache holds the C most recently requested contents, those
+whose latest request lies at or after a pointer into the sequence that
+only moves forward.  It starts from each content's latest request before
+the first measured one, which the stream yields first, and its one
+per-request Python loop is a pointer scan that costs a list load, a
+compare and a store per request.  A reset-timer cache needs no loop: a
+request hits iff the same content's previous request is at most the
+timer earlier.
 
 A single run is strictly sequential and draws all its randomness from one
 Philox stream keyed by (seed, replication); parallelism exists only across
@@ -254,6 +254,48 @@ def _merged(times, ids, prev):
     return ordered, ids[order], prev[order]
 
 
+def _requests(config: SimulationConfig, replication: int):
+    """The measured requests of one replication, whatever the policy.
+
+    Yields first each content's latest request time before the first
+    measured request (-inf before its first), then each window's measured
+    (times, ids, prev) in ``_merged`` order.  Warmup and horizon cut at
+    counts over a window's unsorted draws, equal to positions in that
+    order; a window with nothing measured is skipped unless it is the last.
+    """
+    catalog = config.catalog
+    nxt, rng = init_stationary(catalog, config.seed, replication)
+    last = np.full(catalog.n, -np.inf)
+    width = _WINDOW_EVENTS / catalog.total_rate
+    warm_ev, warm_t = _resolve_warmup(config)
+    done, window, started, final = 0, 0, False, False
+    while not final:
+        window += 1
+        t1 = window * width
+        times, ids, prev = _window_draws(catalog.rates, catalog.groups, nxt, last, rng, t1)
+        if config.horizon_time is not None:
+            final = config.horizon_time < t1
+            size = int(np.count_nonzero(times <= config.horizon_time))
+        else:
+            final = done + times.size >= config.horizon_events
+            size = min(times.size, config.horizon_events - done)
+        first = 0 if started else min(size, max(warm_ev - done,
+                                                 int(np.count_nonzero(times < warm_t))))
+        done += times.size
+        if first == size and not final:
+            continue
+        times, ids, prev = _merged(times, ids, prev)
+        if not started:
+            started = True
+            # each content's latest request before the first measured one:
+            # the prev of its next request, else its latest drawn
+            start = last.copy()
+            at = first + np.unique(ids[first:], return_index=True)[1]
+            start[ids[at]] = prev[at]
+            yield start
+        yield times[first:size], ids[first:size], prev[first:size]
+
+
 class _Lru:
     """LRU as a pointer scan over the merged request sequence.
 
@@ -272,19 +314,23 @@ class _Lru:
     first) and caches the ``capacity`` requested contents with the largest
     (time, content index), the merge's own order, as positions 0, 1, ...
     from least to most recent; with every time -inf the cache is empty.
+
+    With ``stride``, the reuse window (now minus the least recent cached
+    content's latest request time) goes to ``taus`` before every stride-th
+    request, the next at index ``phase`` of a window, if the cache is full;
+    ``check`` counts the live entries against ``count`` and the capacity.
     """
 
-    def __init__(self, last, capacity):
-        self.capacity = capacity
+    def __init__(self, last, capacity, stride, check):
+        self.capacity, self.stride, self.check, self.taus = capacity, stride, check, []
         # sort only the times at or above the capacity-th largest, ties included
         cut = np.partition(last, last.size - capacity)[last.size - capacity]
         top = np.flatnonzero((last >= cut) & (last > -np.inf))
         order = top[np.argsort(last[top], kind="stable")][-capacity:]  # ties: by index
         latest = np.full(last.size, -1, dtype=np.int64)
         latest[order] = np.arange(order.size)
-        self.latest = latest.tolist()
-        self.seq, self.at = order.tolist(), last[order].tolist()
-        self.base = self.p = 0
+        self.latest, self.seq, self.at = latest.tolist(), order.tolist(), last[order].tolist()
+        self.base = self.p = self.phase = 0
         self.count = self.pos = order.size
 
     def _scan(self, ids, misses):
@@ -316,31 +362,26 @@ class _Lru:
         self.p = p
         return p - base
 
-    def window(self, ids, times, first_tau, stride, check, taus):
-        """Hit flags of one window's requests.
-
-        With ``stride``, the reuse window (now minus the least recent cached
-        content's latest request time) is sampled before the requests at
-        first_tau, first_tau + stride, ... whenever the cache is full; with
-        ``check``, the live entries are counted against ``count`` and the
-        capacity at the window's end.
-        """
-        start = self.pos
+    def __call__(self, times, ids, prev):
+        """Hit flags of one window's measured requests, in time order."""
+        start, ids, stride = self.pos, ids.tolist(), self.stride
         self.seq.extend(ids)
         misses, done = [], 0
         if stride:
+            times = times.tolist()
             self.at.extend(times)
-            for s in range(first_tau, len(ids), stride):
+            for s in range(self.phase, len(ids), stride):
                 self._scan(ids[done:s], misses)
                 done = s
                 if self.count >= self.capacity:
-                    taus.append(times[s] - self.at[self._least_recent()])
+                    self.taus.append(times[s] - self.at[self._least_recent()])
+            self.phase = (self.phase - len(ids)) % stride
         self._scan(ids[done:], misses)
         if self.count:
             cut = self._least_recent()
             del self.seq[:cut], self.at[:cut]
             self.base = self.p
-        if check:  # raised, not asserted: python -O keeps it
+        if self.check:  # raised, not asserted: python -O keeps it
             live = sum(self.latest[i] == k for k, i in enumerate(self.seq, self.base))
             if live != self.count or self.count > self.capacity:
                 raise AssertionError(f"LRU holds {live} live entries, counts {self.count}, "
@@ -356,67 +397,26 @@ def run(config: SimulationConfig, replication: int = 0, trace=None) -> Simulatio
     ``trace``, if given, is called as trace(time, content, hit) for every
     measured request, in time order.
     """
-    catalog, policy = config.catalog, config.policy
-    n = catalog.n
-    nxt, rng = init_stationary(catalog, config.seed, replication)
-    last = np.full(n, -np.inf)
-    width = _WINDOW_EVENTS / catalog.total_rate
-    warm_ev, warm_t = _resolve_warmup(config)
-    stride = config.tau_stride
-    lru = None
-    reqs = np.zeros(n, dtype=np.int64)
-    hits = np.zeros(n, dtype=np.int64)
-    taus = []
-    done = measured = window = 0
-    t_start = None
-    now = 0.0
-    final = False
-    while not final:
-        window += 1
-        t1 = window * width
-        times, ids, prev = _window_draws(catalog.rates, catalog.groups, nxt, last, rng, t1)
-        if config.horizon_time is not None:
-            final = config.horizon_time < t1
-        else:
-            final = done + times.size >= config.horizon_events
-        if t_start is None and not final and times.size <= max(
-                warm_ev - done, int(np.count_nonzero(times < warm_t))):
-            done += times.size  # wholly inside the warmup: neither merged nor scanned
-            continue
-        times, ids, prev = _merged(times, ids, prev)
-        if config.horizon_time is not None:
-            size = int(np.searchsorted(times, config.horizon_time, side="right"))
-        else:
-            size = min(times.size, config.horizon_events - done)
-        first = 0
-        if t_start is None:
-            first = min(size, max(warm_ev - done, int(np.searchsorted(times, warm_t))))
-            if first < size:
-                t_start = float(times[first])
-            if isinstance(policy, LRU):
-                # each content's latest request before the first measured
-                # one: the prev of its next request, else its latest drawn
-                start = last.copy()
-                at = first + np.unique(ids[first:], return_index=True)[1]
-                start[ids[at]] = prev[at]
-                lru = _Lru(start, policy.capacity)
-        times, ids, prev = times[first:size], ids[first:size], prev[first:size]
-        if lru is not None:
-            first_tau = (-measured) % stride if stride else 0
-            hit = lru.window(ids.tolist(), times.tolist() if stride else None,
-                             first_tau, stride, config.check_invariants, taus)
-        else:
-            hit = times - prev <= policy.timer
+    n, policy = config.catalog.n, config.policy
+    stream = _requests(config, replication)
+    start = next(stream)
+    if isinstance(policy, LRU):
+        hit_of = _Lru(start, policy.capacity, config.tau_stride, config.check_invariants)
+        taus = hit_of.taus
+    else:
+        hit_of, taus = (lambda times, ids, prev: times - prev <= policy.timer), []
+    reqs, hits = np.zeros((2, n), dtype=np.int64)
+    span = []  # times of the first and the latest measured request
+    for times, ids, prev in stream:
+        hit = hit_of(times, ids, prev)
         reqs += np.bincount(ids, minlength=n)
         hits += np.bincount(ids[hit], minlength=n)
         if trace is not None:
             for event in zip(times.tolist(), ids.tolist(), hit.tolist()):
                 trace(*event)
-        measured += size - first
-        done += size
         if times.size:
-            now = float(times[-1])
-    elapsed = now - t_start if t_start is not None else 0.0
+            span = [span[0] if span else times[0], times[-1]]
+    elapsed = float(span[1] - span[0]) if span else 0.0
     return SimulationReport(requests=reqs, hits=hits, elapsed_time=elapsed,
                             tau_samples=np.asarray(taus, dtype=float), replications=1)
 

@@ -223,6 +223,47 @@ def ccdf_mp(dist, t, dps=40):
         return float(_ccdf_mpf(dist, mp.mpf(t)))
 
 
+def _age_ccdf_mpf(dist, t):
+    """1 - age cdf at t > 0, rate * integral_t^inf ccdf, as an mpf at the
+    working precision, from the closed forms of the families the
+    power-law limit oracle uses."""
+    import mpmath as mp
+    name = type(dist).__name__
+    if name == "Exponential":
+        return mp.exp(-mp.mpf(dist.rate_param) * t)
+    if name == "Gamma":
+        k = mp.mpf(dist.shape)
+        x = mp.mpf(dist.rate_param) * t
+        return (mp.gammainc(k + 1, x, mp.inf, regularized=True)
+                - x * mp.gammainc(k, x, mp.inf, regularized=True) / k)
+    if name == "Weibull":  # integral_t^inf of exp(-(z/s)^k), over the mean s Gamma(1 + 1/k)
+        k = mp.mpf(dist.shape)
+        return mp.gammainc(1 / k, (t / mp.mpf(dist.scale)) ** k, mp.inf, regularized=True)
+    raise TypeError(f"no age-ccdf oracle for {name}")
+
+
+def power_law_limits_mp(psi, alpha, nu, dps=40):
+    """(beta(nu), hit(nu)) of one class with density f(x) = c x^(-alpha),
+    c = 1 - alpha, and unit-mean law psi, at dps digits.
+
+    beta = integral_0^1 A(nu f(x)) dx and hit = integral_0^1 f psi(nu f) dx,
+    with A the age cdf, are taken over y = f(x) in [c, inf), where
+    dx = (c^(1/alpha) / alpha) y^(-1/alpha - 1) dy.  Each is 1 minus an
+    integral of a tail (1 - A, or the ccdf), so the slowly decaying
+    power of y multiplies a fast decaying factor only.
+    """
+    import mpmath as mp
+    with mp.workdps(dps):
+        a, nu = mp.mpf(alpha), mp.mpf(nu)
+        c = 1 - a
+        scale = c ** (1 / a) / a
+        cuts = [c * mp.mpf(10) ** j for j in range(12) if c * 10 ** j < 100 / nu] + [mp.inf]
+        beta = 1 - scale * mp.quad(
+            lambda y: _age_ccdf_mpf(psi, nu * y) * y ** (-1 / a - 1), cuts)
+        hit = 1 - scale * mp.quad(lambda y: _ccdf_mpf(psi, nu * y) * y ** (-1 / a), cuts)
+        return float(beta), float(hit)
+
+
 def envelope_mp(members, ts, dps=20):
     """(mean, [age cdf at each t in ts]) of the law whose ccdf is the
     pointwise minimum of the members' ccdfs, at dps digits.

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,12 +9,12 @@ from ttlapprox.asymptotics import (_QUAD_ATOL, AsymptoticModel, ModelClass, _cla
                                    beta_fn, fagin_catalog, hit_limit, hit_limit_by_class,
                                    rate_curve, solve_nu0, tn_asymptotic)
 from ttlapprox.densities import ConstantDensity, PowerLawDensity, TabulatedDensity
-from ttlapprox.distributions import Exponential, Gamma
+from ttlapprox.distributions import Exponential, Gamma, Weibull
 from ttlapprox.errors import ConfigError, NumericsError, QuadratureError
 from ttlapprox.popularity import ZipfLaw, build_catalog
 
 from oracles import (midpoint_density_integral, midpoint_power_hit_integral,
-                     midpoint_power_integral)
+                     midpoint_power_integral, power_law_limits_mp)
 
 UNIFORM_POISSON = AsymptoticModel(
     (ModelClass(1.0, ConstantDensity(1.0), Exponential(1.0)),), 0.5)
@@ -125,6 +126,44 @@ GAMMA_PSI = Gamma(0.5, 0.5)  # unit mean
 def _beta_pair(nu):
     """The solve's two-component integrand: age cdf and f * ccdf at nu * f."""
     return lambda fv: np.stack((GAMMA_PSI.age_cdf(nu * fv), fv * GAMMA_PSI.ccdf(nu * fv)))
+
+
+class TestExponentNearOne:
+    """Power-law exponents near 1, where f = c x^(-alpha) overflows near
+    x = 0 in the limit integrals, against the 40-digit mpmath oracle."""
+
+    LAWS = [Exponential(1.0), Weibull(0.7, 1.0).standardize(), Gamma(0.5, 1.0).standardize()]
+
+    @staticmethod
+    def model(alpha, psi):
+        return AsymptoticModel((ModelClass(1.0, PowerLawDensity(1.0 - alpha, alpha), psi),), 0.2)
+
+    @pytest.mark.parametrize("psi", LAWS, ids=lambda psi: type(psi).__name__)
+    @pytest.mark.parametrize("alpha", [0.99, 0.995, 0.999])
+    def test_limits_against_mpmath_oracle(self, alpha, psi):
+        model = self.model(alpha, psi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nu0 = solve_nu0(model).nu0
+            beta, hit = beta_fn(model, nu0), hit_limit(model, nu0)
+        beta_mp, hit_mp = power_law_limits_mp(psi, alpha, nu0)
+        assert abs(beta_mp - model.beta0) <= 10 * _QUAD_ATOL  # the solve's residual target
+        assert beta == pytest.approx(beta_mp, abs=_QUAD_ATOL / 10)
+        assert hit == pytest.approx(hit_mp, abs=_QUAD_ATOL / 10)
+
+    @pytest.mark.parametrize("psi", LAWS, ids=lambda psi: type(psi).__name__)
+    def test_beyond_the_rule_fails_loudly(self, psi):
+        # at 0.9999 the adaptive rule can miss the boundary layer at u = 1:
+        # an error, or else the oracle's values
+        model = self.model(0.9999, psi)
+        try:
+            nu0 = solve_nu0(model).nu0
+            hit = hit_limit(model, nu0)
+        except (NumericsError, QuadratureError):
+            return
+        beta_mp, hit_mp = power_law_limits_mp(psi, 0.9999, nu0)
+        assert abs(beta_mp - model.beta0) <= 10 * _QUAD_ATOL
+        assert hit == pytest.approx(hit_mp, abs=_QUAD_ATOL / 10)
 
 
 class TestVectorizedQuadrature:

@@ -54,7 +54,15 @@ def write_config(tmp_path, extra=None):
     return str(path)
 
 
-_DROP = object()  # as a value in ``_mutated``: delete the key
+class _Drop:
+    """As a value in ``_mutated``: delete the key.  Its repr is fixed, so
+    the test ids that show it are the same in every run."""
+
+    def __repr__(self):
+        return "DROP"
+
+
+_DROP = _Drop()
 
 
 def _mutated(cfg, dotted, value):
@@ -152,6 +160,16 @@ class TestSweepCommand:
         rows = list(csv.DictReader(open(tmp_path / "convergence.csv")))
         assert [r["n"] for r in rows] == ["40", "80"]
         assert all(r["status"] == "ok" for r in rows)
+
+    def test_zipf_near_one_has_a_finite_fagin_limit(self, tmp_path, capsys):
+        # from an exponent of about 0.993 on, f overflows in the limit integrals
+        path = write_config(tmp_path, {"popularity": {"zipf": {"alpha": 0.995}}})
+        rc = cli.main(["--config", path, "--out", str(tmp_path), "--format", "csv",
+                       "--threads", "1", "convergence-sweep"])
+        assert rc == 0
+        rows = list(csv.DictReader(open(tmp_path / "convergence.csv")))
+        assert [r["n"] for r in rows] == ["40", "80"]
+        assert all(math.isfinite(float(r["fagin_limit"])) for r in rows)
 
 
 class TestCheckAssumptions:

@@ -364,6 +364,18 @@ class TestWarmupRebuild:
                 horizon={"horizon_events": 6 * _WINDOW_EVENTS})
             assert 3 * width < times[first - 1] < times[first] < 4 * width
 
+    @pytest.mark.parametrize("C", [1, 600])
+    def test_warmup_ends_in_the_final_window_before_its_cut(self, C):
+        # a content's latest request before the first measured one is the
+        # prev of its next request, which may lie past the horizon's cut
+        width = _WINDOW_EVENTS / ZIPF_RENEWAL.total_rate
+        for horizon in ({"horizon_events": int(1.8 * _WINDOW_EVENTS)},
+                        {"horizon_time": 1.8 * width}):
+            _, times, _, first = check_against_ordered_dict_loop(
+                ZIPF_RENEWAL, C, 7, seed=37, warmup={"warmup_events": int(1.5 * _WINDOW_EVENTS)},
+                horizon=horizon)
+            assert width < times[first] < times[-1] < 2 * width
+
     def test_warmup_only_windows_are_not_scanned(self, monkeypatch):
         scanned = []
         scan = _Lru._scan
