@@ -198,7 +198,7 @@ def ttl_hit(catalog: ContentCatalog, T: float) -> TtlHit:
         with np.errstate(over="ignore"):  # rate_i*T past the float range is inf, where cdf is 1
             x = catalog.rates[idx] * T
         per[idx] = dist.cdf(x)
-    aggregate = float(np.dot(catalog.popularity, per))
+    aggregate = float(np.sum(catalog.popularity * per))  # pairwise; BLAS splits a dot by threads
     return TtlHit(per_content=per, aggregate=aggregate, timer=T)
 
 

@@ -3,11 +3,12 @@
 A catalog binds each of n contents to a request rate and an inter-request
 distribution.  Content popularity p_i = rate_i / total_rate; the tail
 ``tail(i)`` is the aggregate popularity of the n - i least popular
-contents, computed from precomputed suffix sums.
+contents, from suffix sums computed on the first call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -104,7 +105,6 @@ class ContentCatalog:
         object.__setattr__(self, "_popularity", pop)
         order = np.argsort(-pop, kind="stable")
         object.__setattr__(self, "_sorted_order", order)
-        object.__setattr__(self, "_tail", _suffix_tail(pop[order]))
         object.__setattr__(self, "_groups", tuple(
             (dist, np.flatnonzero(class_of == c)) for c, dist in enumerate(self.classes)))
 
@@ -124,6 +124,12 @@ class ContentCatalog:
     def sorted_order(self) -> np.ndarray:
         """Permutation: sorted_order[k] is the index of the (k+1)-th most popular content."""
         return self._sorted_order
+
+    @functools.cached_property
+    def _tail(self) -> np.ndarray:
+        # built on first use: only tail() reads it, and a catalog sent to a
+        # replication worker need not carry it
+        return _suffix_tail(self._popularity[self._sorted_order])
 
     def tail(self, i: int) -> float:
         """Aggregate popularity of the n - i least popular contents."""

@@ -91,7 +91,7 @@ def segmented_window_draws(rates, groups, nxt, last, rng, t1):
     segments from which each segment's start value is subtracted.
 
     Same contract as ``simulator._window_draws``: draws
-    ceil(m + 3 sqrt(m) + 2) gaps per content whose next request is before
+    ceil(m + sqrt(m)) + 1 gaps per content whose next request is before
     t1 (again while all of them fall inside), advances nxt and last in
     place, and returns (times, ids, prev) grouped by content.
     """
@@ -101,7 +101,7 @@ def segmented_window_draws(rates, groups, nxt, last, rng, t1):
         while todo.size:
             rate = rates[todo]
             m = rate * (t1 - nxt[todo])
-            k = np.ceil(m + 3.0 * np.sqrt(m) + 2.0).astype(np.int64)
+            k = np.ceil(m + np.sqrt(m)).astype(np.int64) + 1
             ends = np.cumsum(k + 1)
             starts = ends - k - 1
             steps = np.zeros(ends[-1])

@@ -1,6 +1,9 @@
 import math
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,6 +369,23 @@ class TestTtlHit:
             T = float(rng.uniform(0.1, 3.0)) * cat.n / cat.total_rate
             agg = ttl_hit(cat, T).aggregate
             assert agg + miss_probability(cat, T) == pytest.approx(1.0, abs=1e-12)
+
+    def test_aggregate_independent_of_blas_threads(self):
+        # OpenBLAS splits a dot product across its threads from n of about
+        # 12 000, which reorders the sum; the aggregate must not depend on it
+        code = ("from ttlapprox.approx import ttl_hit\n"
+                "from ttlapprox.distributions import Exponential\n"
+                "from ttlapprox.popularity import ZipfLaw, build_catalog\n"
+                "for n in (16_000, 100_000):\n"
+                "    cat = build_catalog(ZipfLaw(0.8), n, float(n), Exponential(1.0))\n"
+                "    print(repr(ttl_hit(cat, 0.7).aggregate))\n")
+        src = str(Path(approx.__file__).resolve().parents[1])
+        outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               check=True, timeout=120,
+                               env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                                        PYTHONPATH=src)).stdout
+                for threads in ("1", "2")]
+        assert len(outs[0].split()) == 2 and outs[0] == outs[1]
 
 
 def _timed_solve(cat):

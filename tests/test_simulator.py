@@ -1,5 +1,12 @@
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +18,7 @@ from ttlapprox.approx import characteristic_time
 from ttlapprox.distributions import (Exponential, Gamma, Hyperexponential,
                                      InterRequestDistribution, ParetoLomax, Weibull)
 from ttlapprox.errors import ConfigError
+from ttlapprox import simulator
 from ttlapprox.popularity import ContentCatalog, ZipfLaw, build_catalog
 from ttlapprox.simulator import (_WINDOW_EVENTS, LRU, TTL, SimulationConfig, _Lru, _merged,
                                  _window_draws, init_stationary, replicate, run)
@@ -298,7 +306,7 @@ class TestPointerScan:
     @pytest.mark.parametrize("C", [1, 600, 1999, 2000])
     def test_bitwise_equal_to_ordered_dict_loop(self, C):
         width = _WINDOW_EVENTS / ZIPF_RENEWAL.total_rate
-        cases = [({"horizon_events": 60_000}, stride) for stride in (0, 1, 7)]
+        cases = [({"horizon_events": 60_000}, stride) for stride in (0, 1, 7, 16)]
         cases.append(({"horizon_time": 2.5 * width}, 7))
         for horizon, stride in cases:
             # the warmup ends inside the second window
@@ -427,6 +435,26 @@ class TestWindowDraws:
                              class_of=np.zeros(8, dtype=np.int64))
         sizes = self.check(cat, 1.0, 20)
         assert sum(sizes) > 100 * 8 * 20  # about 8 requests expected per window
+
+    def test_draws_per_request_on_the_largest_sweep_row(self):
+        # the convergence sweep's n = 16000 row: its warmup and 1e5 measured
+        # requests span 19 windows; most contents expect about one request
+        # in a window, where a wide margin discards the most gaps
+        cat = build_catalog(ZipfLaw(0.8), 16000, 16000.0, Exponential(1.0))
+        drawn = []
+
+        class Counted:
+            def sample_inter_batch(self, rng, size):
+                drawn.append(size)
+                return cat.classes[0].sample_inter_batch(rng, size)
+
+        nxt, rng = init_stationary(cat, seed=3)
+        last = np.full(cat.n, -np.inf)
+        width = _WINDOW_EVENTS / cat.total_rate
+        kept = sum(_window_draws(cat.rates, ((Counted(), np.arange(cat.n)),), nxt, last, rng,
+                                 w * width)[0].size for w in range(1, 20))
+        assert kept > 300_000
+        assert sum(drawn) <= 1.7 * kept
 
     @staticmethod
     def check(catalog, width, windows):
@@ -650,3 +678,80 @@ class TestReplicate:
         rep = replicate(cfg, workers=1)
         a = rep.per_replication_aggregate
         assert rep.aggregate_stderr == pytest.approx(a.std(ddof=1) / 2.0, rel=1e-12)
+
+
+def worker_pids():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def assert_same_report(a, b):
+    assert np.array_equal(a.hits, b.hits) and np.array_equal(a.requests, b.requests)
+    assert a.tau_samples.tobytes() == b.tau_samples.tobytes()
+    assert a.per_replication_aggregate.tobytes() == b.per_replication_aggregate.tobytes()
+    assert a.aggregate_stderr == b.aggregate_stderr and a.elapsed_time == b.elapsed_time
+
+
+class TestKeptPool:
+    """``replicate`` keeps one process pool across calls; a call that finds
+    it broken runs its batch again on a fresh one."""
+
+    CFG = SimulationConfig(catalog=RENEWAL, policy=LRU(4), horizon_events=6_000,
+                           warmup_events=500, seed=13, replications=3, tau_stride=5)
+
+    def test_calls_share_the_workers(self):
+        replicate(self.CFG, workers=2)
+        pids = worker_pids()
+        replicate(self.CFG, workers=2)
+        assert len(pids) == 2 and worker_pids() == pids
+
+    def test_another_worker_count_replaces_the_pool(self):
+        replicate(self.CFG, workers=2)
+        two = worker_pids()
+        replicate(self.CFG, workers=3)
+        three = worker_pids()
+        assert len(three) == 3 and not two & three
+
+    def test_worker_killed_between_calls(self):
+        replicate(self.CFG, workers=2)
+        os.kill(min(worker_pids()), signal.SIGKILL)
+        assert_same_report(replicate(self.CFG, workers=2), replicate(self.CFG, workers=1))
+
+    def test_law_importable_only_after_the_first_call(self, monkeypatch):
+        replicate(self.CFG, workers=2)  # forks the workers before the module below exists
+
+        class LateExponential(InterRequestDistribution):
+            mean = 1.0
+
+            def sample_inter_batch(self, rng, size):
+                return rng.exponential(1.0, size)
+
+            def sample_age_batch(self, rng, size):
+                return rng.exponential(1.0, size)
+
+        module = types.ModuleType("late_laws")
+        LateExponential.__module__, LateExponential.__qualname__ = "late_laws", "LateExponential"
+        module.LateExponential = LateExponential
+        monkeypatch.setitem(sys.modules, "late_laws", module)
+        cat = ContentCatalog(rates=np.linspace(1.0, 3.0, 12), classes=(LateExponential(),),
+                             class_of=np.zeros(12, dtype=np.int64))
+        cfg = SimulationConfig(catalog=cat, policy=LRU(4), horizon_events=6_000,
+                               warmup_events=500, seed=17, replications=3)
+        assert_same_report(replicate(cfg, workers=2), replicate(cfg, workers=1))
+
+    def test_no_worker_outlives_its_process(self):
+        code = ("import multiprocessing\n"
+                "from ttlapprox.distributions import Exponential\n"
+                "from ttlapprox.popularity import ZipfLaw, build_catalog\n"
+                "from ttlapprox.simulator import LRU, SimulationConfig, replicate\n"
+                "cat = build_catalog(ZipfLaw(0.8), 50, 50.0, Exponential(1.0))\n"
+                "replicate(SimulationConfig(catalog=cat, policy=LRU(10), horizon_events=3000,\n"
+                "                           warmup_events=300, replications=2), workers=2)\n"
+                "print(*[p.pid for p in multiprocessing.active_children()])\n")
+        src = str(Path(simulator.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+        pids = [int(pid) for pid in out.stdout.split()]
+        assert len(pids) == 2  # the process has exited and waited for them
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
