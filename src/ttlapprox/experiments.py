@@ -149,7 +149,7 @@ def convergence_sweep(spec: SweepSpec, workers: int | None = None) -> list[Conve
     sweep continues.
 
     Every row is set up first (catalog, solve, prediction); then all
-    replications of all rows run in one process pool.
+    replications of all rows run in one `simulator._replicate_all` call.
     """
     model = _fagin_reference(spec)
     fagin = asymptotics.hit_limit(model) if model is not None else None

@@ -32,19 +32,20 @@ content's previous request is at most the timer earlier.
 
 A single run is strictly sequential and draws all its randomness from one
 Philox stream keyed by (seed, replication); parallelism exists only across
-replications, and results are merged in replication order so reports are
-reproducible bit for bit from (config, seed).  The replications of a
-call (every row of a sweep) run in one process pool, and that pool is
-kept for the life of the process: made on first use, replaced when the
-worker count changes or a worker breaks it, and shut down at exit.
-Calls after the first start no workers and find them warm.
+replications.  The calling process and a pool of workers - 1 processes,
+made for the call, share a call's replications (every row of a sweep):
+the workers take them from the longest, the caller from the shortest,
+so the caller's own core does not sit idle and a call forks one process
+fewer.  Results are merged in replication order, so reports are
+reproducible bit for bit from (config, seed).
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+from array import array
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -305,6 +306,7 @@ def _requests(config: SimulationConfig, replication: int):
             start[ids[at]] = prev[at]
             yield start
         yield times[first:size], ids[first:size], prev[first:size]
+        del times, ids, prev  # free this window before the next is drawn
 
 
 class _Lru:
@@ -329,20 +331,23 @@ class _Lru:
     With ``stride``, the reuse window (now minus the least recent cached
     content's latest request time) goes to ``taus`` before every stride-th
     measured request, the next at position ``due``, if the cache is full;
-    the scan takes it in the same loop as the update, and with no stride
-    ``due`` is -1, a position it never reaches.  ``check`` counts the live
-    entries against ``count`` and the capacity.
+    the scan notes the window's two ends (positions) in the same loop as
+    the update, and the window's widths are then taken from the request
+    times ``at`` in one vector step.  With no stride ``due`` is -1, a
+    position the scan never reaches.  ``check`` counts the live entries
+    against ``count`` and the capacity.
     """
 
     def __init__(self, last, capacity, stride, check):
-        self.capacity, self.stride, self.check, self.taus = capacity, stride, check, []
+        self.capacity, self.stride, self.check = capacity, stride, check
+        self.taus, self.ends = [], []  # tau arrays by window; the scan's (k, p) pairs
         # sort only the times at or above the capacity-th largest, ties included
         cut = np.partition(last, last.size - capacity)[last.size - capacity]
         top = np.flatnonzero((last >= cut) & (last > -np.inf))
         order = top[np.argsort(last[top], kind="stable")][-capacity:]  # ties: by index
         latest = np.full(last.size, -1, dtype=np.int64)
         latest[order] = np.arange(order.size)
-        self.latest, self.seq, self.at = latest.tolist(), order.tolist(), last[order].tolist()
+        self.latest, self.seq, self.at = latest.tolist(), order.tolist(), last[order]
         self.base = self.p = 0
         self.count = self.pos = order.size
         self.due = self.pos if stride else -1  # position of the next reuse-window sample
@@ -350,18 +355,19 @@ class _Lru:
     def _scan(self, ids, misses):
         """The LRU update: apply requests in order and append the positions
         of the misses.  A request hits iff its content's latest request is
-        at or after p.  Before the request at position ``due`` the reuse
-        window goes to ``taus`` if the cache is full."""
-        latest, seq, at, base, capacity = self.latest, self.seq, self.at, self.base, self.capacity
+        at or after p.  Before the request at position ``due`` the ends of
+        its reuse window go to ``ends`` if the cache is full."""
+        latest, seq, base, capacity = self.latest, self.seq, self.base, self.capacity
         p, count, due = self.p, self.count, self.due
-        record = misses.append
+        record, end = misses.append, self.ends.append
         for k, i in enumerate(ids, self.pos):
             if k == due:
                 due += self.stride
                 if count == capacity:
                     while latest[seq[p - base]] != p:  # skip dead entries to the least recent
                         p += 1
-                    self.taus.append(at[k - base] - at[p - base])
+                    end(k)
+                    end(p)
             if latest[i] < p:
                 record(k)
                 if count == capacity:
@@ -387,13 +393,18 @@ class _Lru:
         """Hit flags of one window's measured requests, in time order."""
         start, ids = self.pos, ids.tolist()
         self.seq.extend(ids)
-        if self.stride:
-            self.at.extend(times.tolist())
-        misses = []
+        misses = array("q")
         self._scan(ids, misses)
+        if self.stride:
+            self.at = np.concatenate((self.at, times))
+            if self.ends:
+                k, p = np.array(self.ends).reshape(-1, 2).T - self.base
+                self.taus.append(self.at[k] - self.at[p])
+                self.ends.clear()
         if self.count:
             cut = self._least_recent()
-            del self.seq[:cut], self.at[:cut]
+            del self.seq[:cut]
+            self.at = self.at[cut:]
             self.base = self.p
         if self.check:  # raised, not asserted: python -O keeps it
             live = sum(self.latest[i] == k for k, i in enumerate(self.seq, self.base))
@@ -401,7 +412,7 @@ class _Lru:
                 raise AssertionError(f"LRU holds {live} live entries, counts {self.count}, "
                                      f"capacity {self.capacity}")
         hit = np.ones(len(ids), dtype=bool)
-        hit[np.array(misses, dtype=np.int64) - start] = False
+        hit[np.frombuffer(misses, dtype=np.int64) - start] = False
         return hit
 
 
@@ -430,9 +441,10 @@ def run(config: SimulationConfig, replication: int = 0, trace=None) -> Simulatio
                 trace(*event)
         if times.size:
             span = [span[0] if span else times[0], times[-1]]
+        del times, ids, prev, hit  # free this window before the next is drawn
     elapsed = float(span[1] - span[0]) if span else 0.0
     return SimulationReport(requests=reqs, hits=hits, elapsed_time=elapsed,
-                            tau_samples=np.asarray(taus, dtype=float), replications=1)
+                            tau_samples=np.concatenate([np.empty(0), *taus]), replications=1)
 
 
 def _replicate_worker(job):
@@ -456,51 +468,62 @@ def _replicate_all(configs, workers: int | None = None) -> list:
     """Each config's merged report, or the ConfigError or NumericsError of
     its first failing replication.
 
-    The replications of all configs run in one process pool when workers
-    > 1, the longest first; each config's results are merged in
-    replication order, so the reports do not depend on the workers.
+    The replications of all configs run in the calling process and, when
+    workers > 1, in a pool of workers - 1 processes made for the call
+    (see ``_take``); each config's results are merged in replication
+    order, so the reports do not depend on the workers.
     """
     cost = [c.horizon_events or c.horizon_time * c.catalog.total_rate for c in configs]
     keys = sorted(((i, rep) for i, c in enumerate(configs) for rep in range(c.replications)),
                   key=lambda key: -cost[key[0]])
     jobs = [(configs[i], rep) for i, rep in keys]
-    if workers is None:
-        workers = min(len(jobs), os.cpu_count() or 1)
-    if workers <= 1 or len(jobs) <= 1:
-        results = [_replicate_worker(job) for job in jobs]
+    workers = min((os.cpu_count() or 1) if workers is None else workers, len(jobs))
+    if workers <= 1:
+        done = dict(enumerate(map(_replicate_worker, jobs)))
     else:
-        results = _pool_map(jobs, workers)
-    by_key = dict(zip(keys, results))
+        untaken = multiprocessing.Array("q", [0, len(jobs)])  # jobs[untaken[0]:untaken[1]]
+        with ProcessPoolExecutor(max_workers=workers - 1, initializer=_join,
+                                 initargs=(jobs, untaken)) as pool:
+            theirs = [pool.submit(_take) for _ in range(workers - 1)]
+            done = _take(jobs, untaken, from_back=True)
+            for future in theirs:
+                done.update(future.result())
+    by_key = {keys[k]: result for k, result in done.items()}
     return [_merge([by_key[i, rep] for rep in range(c.replications)])
             for i, c in enumerate(configs)]
 
 
-_pool = None  # (worker count, executor), kept for the life of the process
+_batch = None  # in a pool's worker: the (jobs, untaken) of the call that made it
 
 
-def _pool_map(jobs, workers):
-    """The jobs' results, in order, from the process's one pool of
-    ``workers`` processes.
+def _join(jobs, untaken):
+    global _batch
+    _batch = jobs, untaken
 
-    The pool is made on first use and replaced when the worker count
-    changes; its workers exit with the process.  A broken pool (a worker
-    died, or could not unpickle a job because it was forked before a class
-    in it was importable) is discarded, and the whole batch runs once more
-    on a fresh one.  Calls from several threads at once are not supported.
+
+def _take(jobs=None, untaken=None, from_back=False) -> dict:
+    """The result of each job this process takes, by job index, until
+    ``jobs[untaken[0]:untaken[1]]`` is empty.
+
+    A pool's worker takes its call's jobs from the front, the longest
+    first; the calling process takes from the back, so it runs the
+    shortest jobs, and its own peak memory grows by their working set
+    only.
     """
-    global _pool
-    for again in (False, True):
-        if _pool is None or _pool[0] != workers:
-            if _pool is not None:
-                _pool[1].shutdown()
-            _pool = (workers, ProcessPoolExecutor(max_workers=workers))
-        try:
-            return list(_pool[1].map(_replicate_worker, jobs, chunksize=1))
-        except BrokenProcessPool:
-            _pool[1].shutdown()
-            _pool = None
-            if again:
-                raise
+    if jobs is None:
+        jobs, untaken = _batch
+    done = {}
+    while True:
+        with untaken.get_lock():
+            if untaken[0] == untaken[1]:
+                return done
+            if from_back:
+                untaken[1] -= 1
+                k = untaken[1]
+            else:
+                k = untaken[0]
+                untaken[0] += 1
+        done[k] = _replicate_worker(jobs[k])
 
 
 def _merge(results):

@@ -1,12 +1,8 @@
 import math
 import multiprocessing
-import os
-import signal
-import subprocess
 import sys
 import types
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +13,8 @@ from scipy import stats
 from ttlapprox.approx import characteristic_time
 from ttlapprox.distributions import (Exponential, Gamma, Hyperexponential,
                                      InterRequestDistribution, ParetoLomax, Weibull)
-from ttlapprox.errors import ConfigError
 from ttlapprox import simulator
+from ttlapprox.errors import ConfigError
 from ttlapprox.popularity import ContentCatalog, ZipfLaw, build_catalog
 from ttlapprox.simulator import (_WINDOW_EVENTS, LRU, TTL, SimulationConfig, _Lru, _merged,
                                  _window_draws, init_stationary, replicate, run)
@@ -680,10 +676,6 @@ class TestReplicate:
         assert rep.aggregate_stderr == pytest.approx(a.std(ddof=1) / 2.0, rel=1e-12)
 
 
-def worker_pids():
-    return {p.pid for p in multiprocessing.active_children()}
-
-
 def assert_same_report(a, b):
     assert np.array_equal(a.hits, b.hits) and np.array_equal(a.requests, b.requests)
     assert a.tau_samples.tobytes() == b.tau_samples.tobytes()
@@ -691,67 +683,59 @@ def assert_same_report(a, b):
     assert a.aggregate_stderr == b.aggregate_stderr and a.elapsed_time == b.elapsed_time
 
 
-class TestKeptPool:
-    """``replicate`` keeps one process pool across calls; a call that finds
-    it broken runs its batch again on a fresh one."""
+class TestCallPool:
+    """A call's replications are taken by the calling process and a pool of
+    workers - 1 processes made for that call."""
 
     CFG = SimulationConfig(catalog=RENEWAL, policy=LRU(4), horizon_events=6_000,
-                           warmup_events=500, seed=13, replications=3, tau_stride=5)
+                           warmup_events=500, seed=13, replications=6, tau_stride=5)
 
-    def test_calls_share_the_workers(self):
-        replicate(self.CFG, workers=2)
-        pids = worker_pids()
-        replicate(self.CFG, workers=2)
-        assert len(pids) == 2 and worker_pids() == pids
+    def test_the_calling_process_takes_replications_too(self, monkeypatch):
+        here = []
+        worker = simulator._replicate_worker
+        monkeypatch.setattr(simulator, "_replicate_worker",
+                            lambda job: here.append(job[1]) or worker(job))
+        report = replicate(self.CFG, workers=2)
+        assert here  # the pool's worker appends to its own copy of the list
+        assert_same_report(report, replicate(self.CFG, workers=1))
 
-    def test_another_worker_count_replaces_the_pool(self):
-        replicate(self.CFG, workers=2)
-        two = worker_pids()
-        replicate(self.CFG, workers=3)
-        three = worker_pids()
-        assert len(three) == 3 and not two & three
+    def test_workers_beyond_the_replications_start_no_process(self, monkeypatch):
+        sizes = []
 
-    def test_worker_killed_between_calls(self):
-        replicate(self.CFG, workers=2)
-        os.kill(min(worker_pids()), signal.SIGKILL)
-        assert_same_report(replicate(self.CFG, workers=2), replicate(self.CFG, workers=1))
+        class Recorded(simulator.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
 
-    def test_law_importable_only_after_the_first_call(self, monkeypatch):
-        replicate(self.CFG, workers=2)  # forks the workers before the module below exists
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", Recorded)
+        cfg = SimulationConfig(catalog=RENEWAL, policy=LRU(4), horizon_events=3_000,
+                               seed=13, replications=2)
+        replicate(cfg, workers=8)
+        assert sizes == [1]
+        assert not multiprocessing.active_children()  # joined before the call returns
 
-        class LateExponential(InterRequestDistribution):
-            mean = 1.0
+    def test_a_law_redefined_between_calls_runs_as_redefined(self, monkeypatch):
+        def law(shape):  # a unit-mean Gamma, made under the same importable name
+            class Late(InterRequestDistribution):
+                mean = 1.0
 
-            def sample_inter_batch(self, rng, size):
-                return rng.exponential(1.0, size)
+                def sample_inter_batch(self, rng, size):
+                    return rng.gamma(shape, 1.0 / shape, size)
 
-            def sample_age_batch(self, rng, size):
-                return rng.exponential(1.0, size)
+                def sample_age_batch(self, rng, size):
+                    return rng.exponential(1.0, size)
+
+            Late.__module__, Late.__qualname__ = module.__name__, "Late"
+            module.Late = Late
+            return ContentCatalog(rates=np.linspace(1.0, 3.0, 12), classes=(Late(),),
+                                  class_of=np.zeros(12, dtype=np.int64))
 
         module = types.ModuleType("late_laws")
-        LateExponential.__module__, LateExponential.__qualname__ = "late_laws", "LateExponential"
-        module.LateExponential = LateExponential
-        monkeypatch.setitem(sys.modules, "late_laws", module)
-        cat = ContentCatalog(rates=np.linspace(1.0, 3.0, 12), classes=(LateExponential(),),
-                             class_of=np.zeros(12, dtype=np.int64))
-        cfg = SimulationConfig(catalog=cat, policy=LRU(4), horizon_events=6_000,
-                               warmup_events=500, seed=17, replications=3)
-        assert_same_report(replicate(cfg, workers=2), replicate(cfg, workers=1))
-
-    def test_no_worker_outlives_its_process(self):
-        code = ("import multiprocessing\n"
-                "from ttlapprox.distributions import Exponential\n"
-                "from ttlapprox.popularity import ZipfLaw, build_catalog\n"
-                "from ttlapprox.simulator import LRU, SimulationConfig, replicate\n"
-                "cat = build_catalog(ZipfLaw(0.8), 50, 50.0, Exponential(1.0))\n"
-                "replicate(SimulationConfig(catalog=cat, policy=LRU(10), horizon_events=3000,\n"
-                "                           warmup_events=300, replications=2), workers=2)\n"
-                "print(*[p.pid for p in multiprocessing.active_children()])\n")
-        src = str(Path(simulator.__file__).resolve().parents[1])
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
-        pids = [int(pid) for pid in out.stdout.split()]
-        assert len(pids) == 2  # the process has exited and waited for them
-        for pid in pids:
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+        reports = []
+        for shape in (1.0, 4.0):
+            cfg = SimulationConfig(catalog=law(shape), policy=LRU(4), horizon_events=6_000,
+                                   warmup_events=500, seed=17, replications=3)
+            reports.append(replicate(cfg, workers=2))
+            assert_same_report(reports[-1], replicate(cfg, workers=1))
+        assert reports[0].elapsed_time != reports[1].elapsed_time
