@@ -684,8 +684,8 @@ def assert_same_report(a, b):
 
 
 class TestCallPool:
-    """A call's replications are taken by the calling process and a pool of
-    workers - 1 processes made for that call."""
+    """A call's replications are taken from one shared range by the calling
+    process and a pool of workers - 1 processes made for that call."""
 
     CFG = SimulationConfig(catalog=RENEWAL, policy=LRU(4), horizon_events=6_000,
                            warmup_events=500, seed=13, replications=6, tau_stride=5)
@@ -713,6 +713,18 @@ class TestCallPool:
         replicate(cfg, workers=8)
         assert sizes == [1]
         assert not multiprocessing.active_children()  # joined before the call returns
+
+    def test_each_job_is_taken_once_with_more_workers_than_cores(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_replicate_worker", lambda job: -job)
+        jobs = list(range(5000))
+        untaken = multiprocessing.Array("q", [0, len(jobs)])
+        with simulator.ProcessPoolExecutor(max_workers=4, initializer=simulator._join,
+                                           initargs=(jobs, untaken)) as pool:
+            theirs = [pool.submit(simulator._take) for _ in range(4)]
+            taken = [simulator._take(jobs, untaken, from_back=True)]
+            taken += [future.result(timeout=60) for future in theirs]
+        assert sorted(k for done in taken for k in done) == jobs  # none lost, none twice
+        assert all(result == -k for done in taken for k, result in done.items())
 
     def test_a_law_redefined_between_calls_runs_as_redefined(self, monkeypatch):
         def law(shape):  # a unit-mean Gamma, made under the same importable name
