@@ -11,7 +11,8 @@ distribution
 
 which is the stationary distribution of the time since (equivalently,
 until) the last (next) request, its quantile, and seeded batch samplers
-for both laws.  Each family defines four kernels on 0 < t < inf, each exact
+of the gap law and of the residual and age of a stationary gap.  Each
+family defines four kernels on 0 < t < inf, each exact
 in its own tail: ``_cdf``, ``_ccdf``, ``_pdf`` and ``_age_cdf_ccdf``, the
 age cdf and the ccdf together, the value and slope of every Newton step
 in the package (Gamma and Erlang take both from one incomplete-gamma call
@@ -250,12 +251,17 @@ class InterRequestDistribution:
     def sample_inter_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
 
-    def sample_age_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Exact stationary age draws, without root finding.
+    def sample_straddle_batch(self, rng: np.random.Generator,
+                              size: int) -> tuple[np.ndarray, np.ndarray]:
+        """(R, A): residual and age of ``size`` independent gaps that
+        straddle a stationary time point, exact and without root finding.
 
-        Where no closed form exists, the equilibrium-renewal identity is used:
-        if L has the length-biased law (density x g(x) / mean) and U is
-        uniform on (0, 1), then U * L has the age law.
+        R and A have the joint density g(a + r) / mean: each follows the
+        age law, and given R = r, A + r is a gap conditioned to exceed r.
+        Where no closed form exists, the equilibrium-renewal identity is
+        used: if L has the length-biased law (density x g(x) / mean) and U
+        is uniform on (0, 1), then R = U * L and A = (1 - U) * L.  Every
+        family draws its R first.
         """
         raise NotImplementedError
 
@@ -295,8 +301,10 @@ class Exponential(InterRequestDistribution):
     def sample_inter_batch(self, rng, size):
         return rng.exponential(1.0 / self.rate_param, size)
 
-    def sample_age_batch(self, rng, size):
-        return rng.exponential(1.0 / self.rate_param, size)
+    def sample_straddle_batch(self, rng, size):
+        # memoryless: the age is an independent draw of the same law
+        return (rng.exponential(1.0 / self.rate_param, size),
+                rng.exponential(1.0 / self.rate_param, size))
 
 
 # Largest Gamma shape: log Gamma(k + 1) and scipy's incomplete gammas at the
@@ -375,9 +383,11 @@ class Gamma(InterRequestDistribution):
     def sample_inter_batch(self, rng, size):
         return rng.gamma(self.shape, 1.0 / self.rate_param, size)
 
-    def sample_age_batch(self, rng, size):
+    def sample_straddle_batch(self, rng, size):
         # the length-biased Gamma(shape, rate) is Gamma(shape + 1, rate)
-        return rng.random(size) * rng.gamma(self.shape + 1.0, 1.0 / self.rate_param, size)
+        u = rng.random(size)
+        length = rng.gamma(self.shape + 1.0, 1.0 / self.rate_param, size)
+        return u * length, (1.0 - u) * length
 
 
 class Erlang(Gamma):
@@ -443,10 +453,12 @@ class Weibull(InterRequestDistribution):
     def sample_inter_batch(self, rng, size):
         return self.scale * rng.weibull(self.shape, size)
 
-    def sample_age_batch(self, rng, size):
+    def sample_straddle_batch(self, rng, size):
         # length-biased: (X / scale)^shape is Gamma(1 + 1/shape)
         g = rng.gamma(1.0 + 1.0 / self.shape, 1.0, size)
-        return rng.random(size) * self.scale * np.power(g, 1.0 / self.shape)
+        u = rng.random(size)
+        length = self.scale * np.power(g, 1.0 / self.shape)
+        return u * length, (1.0 - u) * length
 
 
 @dataclass(frozen=True)
@@ -503,16 +515,19 @@ class Hyperexponential(InterRequestDistribution):
         return Hyperexponential(self.weights, tuple(r / f for r in self.rates))
 
     def _mixture_batch(self, rng, size, weights):
+        """Draws of the mixture with these phase weights, and their phases."""
         comp = np.searchsorted(np.cumsum(weights), rng.random(size), side="right")
         comp = np.minimum(comp, len(self.rates) - 1)
-        return rng.exponential(1.0, size) / self._r[comp]
+        return rng.exponential(1.0, size) / self._r[comp], comp
 
     def sample_inter_batch(self, rng, size):
-        return self._mixture_batch(rng, size, self._w)
+        return self._mixture_batch(rng, size, self._w)[0]
 
-    def sample_age_batch(self, rng, size):
-        # age law: hyperexponential with weights w_j / (r_j * mean)
-        return self._mixture_batch(rng, size, self._w / self._r / self.mean)
+    def sample_straddle_batch(self, rng, size):
+        # the straddling gap's phase j has probability w_j / (r_j * mean);
+        # given it, residual and age are independent Exp(r_j)
+        residual, comp = self._mixture_batch(rng, size, self._w / self._r / self.mean)
+        return residual, rng.exponential(1.0, size) / self._r[comp]
 
 
 @dataclass(frozen=True)
@@ -560,8 +575,12 @@ class ParetoLomax(InterRequestDistribution):
     def sample_inter_batch(self, rng, size):
         return self.scale * rng.pareto(self.shape, size)
 
-    def sample_age_batch(self, rng, size):
-        return self.scale * rng.pareto(self.shape - 1.0, size)
+    def sample_straddle_batch(self, rng, size):
+        # the age law is Lomax(shape - 1, scale); given R = r, A + r is a gap
+        # beyond r, and the tail of Lomax(shape, scale) beyond r is
+        # Lomax(shape, scale + r)
+        residual = self.scale * rng.pareto(self.shape - 1.0, size)
+        return residual, (self.scale + residual) * rng.pareto(self.shape, size)
 
 
 _FAMILIES = {

@@ -1,34 +1,39 @@
 """Simulation of LRU and reset-timer caches fed by stationary renewal streams.
 
-Each content is driven by its own stationary renewal stream: the first
-arrival is drawn from the age (integrated-tail) law so the system starts
-in steady state, and subsequent gaps are i.i.d. inter-request draws.
-Hit/miss indicators are recorded at request epochs after warmup, which
-matches the request-average definition of hit probability.
+Each content is driven by its own stationary renewal stream, started
+exactly stationary at t = 0: the gap that straddles 0 is drawn as its
+residual R (the first request is at R) and its age A (the latest request
+is at -A) from their joint law, and subsequent gaps are i.i.d.
+inter-request draws.  The LRU cache starts as the C contents with the
+latest requests before 0, which is its stationary state, so every
+request from 0 on is measured and no warmup is simulated; a configured
+warmup only shortens the measured horizon.  Hit/miss indicators are
+recorded at request epochs, which matches the request-average definition
+of hit probability.
 
 One request stream, which knows nothing of the policy, feeds both
-policies.  It cuts time into windows of about 2**14 expected requests; in
-each window the contents whose next request falls inside draw their gaps
-in one vectorized call per class, about one standard deviation more than
-they are expected to use, and again if that is too few (1.25 to 1.6
-gaps drawn per request kept on Zipf(0.8) catalogs of 1000 to 16000
+policies.  It cuts time into windows of about 2**14 expected requests
+(the run's expected number, if that is smaller); in each window the
+contents whose next request falls inside draw their gaps in one
+vectorized call per class, about one standard deviation more than they
+are expected to use, and again if that is too few (1.25 to 1.6 gaps
+drawn per request kept on Zipf(0.8) catalogs of 1000 to 16000
 contents).  One cumulative sum runs over all of these gaps; less its
 value before a content's first gap, it gives that content's request
 times from its pending one, and the times before the window's end are a
 prefix of them.  The window's measured requests are merged in time order
 (ties broken by content index), each with the same content's previous
-request time; a window wholly inside the warmup still draws its gaps,
-from the same stream, but is not merged.
+request time.
 
 LRU depends on the merged sequence alone (the stack view of Mattson et
 al. 1970): the cache holds the C most recently requested contents, those
 whose latest request lies at or after a pointer into the sequence that
-only moves forward.  It starts from each content's latest request before
-the first measured one, which the stream yields first, and its one
-per-request Python loop is a pointer scan that costs a list load, a
-compare and a store per request, and takes the reuse-window samples on
-its way.  A reset-timer cache needs no loop: a request hits iff the same
-content's previous request is at most the timer earlier.
+only moves forward.  It starts from each content's latest request at or
+before 0, which the stream yields first, and its one per-request Python
+loop is a pointer scan that costs a list load, a compare and a store per
+request, and takes the reuse-window samples on its way.  A reset-timer
+cache needs no loop: a request hits iff the same content's previous
+request is at most the timer earlier.
 
 A single run is strictly sequential and draws all its randomness from one
 Philox stream keyed by (seed, replication); parallelism exists only across
@@ -42,6 +47,9 @@ reproducible bit for bit from (config, seed).
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import math
 import multiprocessing
 import os
 from array import array
@@ -86,18 +94,18 @@ class TTL:
 class SimulationConfig:
     """One simulation experiment.
 
-    Exactly one of ``horizon_events`` (total events processed, warmup
-    included) or ``horizon_time`` (virtual time) must be set.  Warmup may
-    be given in events and/or time; with neither, the default rule
-    discards events until virtual time reaches 20 reference timers (the
-    solved characteristic time for LRU, the timer itself for TTL) and at
-    least 5n events have been processed.
+    Exactly one of ``horizon_events`` (events, warmup included) or
+    ``horizon_time`` (virtual time, warmup included) must be set.  Warmup
+    may be given in events and/or time; with neither, the default rule
+    (``warmup``) is 20 reference timers (the solved characteristic time
+    for LRU, the timer itself for TTL) and at least 5n events.  The
+    streams start exactly stationary, so the warmup is not simulated: it
+    only sets how much is measured, from t = 0 on (see ``_requests``).
 
     ``tau_stride`` > 0 samples the reuse-window width at every stride-th
-    post-warmup request (LRU only).  ``check_invariants`` checks the LRU
-    state at the end of every window from the first measured one on (no
-    request before the first measured one is scanned): its cached
-    contents number exactly its count, and no more than the capacity.
+    measured request (LRU only).  ``check_invariants`` checks the LRU
+    state at the end of every window: exactly ``capacity`` contents are
+    cached.
     """
 
     catalog: ContentCatalog
@@ -136,6 +144,21 @@ class SimulationConfig:
             raise ConfigError("tau_stride must be >= 0")
         if self.tau_stride and not isinstance(self.policy, LRU):
             raise ConfigError("reuse-window sampling requires the LRU policy")
+
+    @functools.cached_property
+    def warmup(self) -> tuple[int, float]:
+        """(warmup_events, warmup_time), the default rule solved once per
+        config; (0, 0.0) measures the whole horizon."""
+        if self.warmup_events is not None or self.warmup_time is not None:
+            return self.warmup_events or 0, self.warmup_time or 0.0
+        if isinstance(self.policy, TTL):
+            t_ref = self.policy.timer
+        elif self.policy.capacity >= self.catalog.n:
+            t_ref = 0.0  # the cache never evicts: there is no characteristic time
+        else:
+            from .approx import characteristic_time
+            t_ref = characteristic_time(self.catalog, float(self.policy.capacity)).t
+        return 5 * self.catalog.n, 20.0 * t_ref
 
 
 @dataclass(frozen=True)
@@ -176,34 +199,26 @@ class SimulationReport:
 
 
 def init_stationary(catalog: ContentCatalog, seed: int, replication: int = 0):
-    """Streams of all contents started in the stationary regime.
+    """Streams of all contents started in the stationary regime at t = 0.
 
-    Returns (first_arrivals, rng): first_arrivals[i] is a draw from content
-    i's age law, and rng is the replication's single generator, from which
-    the engine then draws every inter-request gap.  Each class draws its
-    ages in one call from its standardized law, divided by the contents'
-    rates; this is exact because every family is a scale family.
+    Returns (first, last, rng): of the gap of content i that straddles
+    t = 0, first[i] = R / rate_i is its end, i's first request after 0,
+    and last[i] = -A / rate_i its start, i's latest request at or before
+    0, with (R, A) drawn from the joint residual-age law
+    (``sample_straddle_batch``).  rng is the replication's single
+    generator, from which the engine then draws every inter-request gap.
+    Each class draws its (R, A) in one call from its standardized law,
+    divided by the contents' rates; this is exact because every family is
+    a scale family.
     """
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=seed, spawn_key=(replication,))))
-    arrivals = np.empty(catalog.n)
+    first, last = np.empty(catalog.n), np.empty(catalog.n)
     for dist, idx in catalog.groups:
-        arrivals[idx] = dist.sample_age_batch(rng, idx.size) / catalog.rates[idx]
-    return arrivals, rng
-
-
-def _resolve_warmup(config: SimulationConfig):
-    """Return (warmup_events, warmup_time); (0, 0.0) means measure at once."""
-    if config.warmup_events is not None or config.warmup_time is not None:
-        return config.warmup_events or 0, config.warmup_time or 0.0
-    if isinstance(config.policy, TTL):
-        t_ref = config.policy.timer
-    elif config.policy.capacity >= config.catalog.n:
-        t_ref = 0.0  # cache never evicts; no occupancy transient to wait out
-    else:
-        from .approx import characteristic_time
-        t_ref = characteristic_time(config.catalog, float(config.policy.capacity)).t
-    return 5 * config.catalog.n, 20.0 * t_ref
+        residual, age = dist.sample_straddle_batch(rng, idx.size)
+        first[idx] = residual / catalog.rates[idx]
+        last[idx] = -age / catalog.rates[idx]
+    return first, last, rng
 
 
 _WINDOW_EVENTS = 2 ** 14  # expected requests per window
@@ -222,8 +237,7 @@ def _window_draws(rates, groups, nxt, last, rng, t1):
     gaps; a wider margin would discard more gaps than it saves.  Advances
     nxt (each content's first request at or after t1) and last (its latest
     request before t1).  Returns (times, ids, prev), not in time order;
-    prev is the same content's previous request time, -inf before its
-    first.
+    prev is the same content's previous request time.
     """
     parts = []
     for dist, idx in groups:
@@ -269,43 +283,46 @@ def _merged(times, ids, prev):
 def _requests(config: SimulationConfig, replication: int):
     """The measured requests of one replication, whatever the policy.
 
-    Yields first each content's latest request time before the first
-    measured request (-inf before its first), then each window's measured
-    (times, ids, prev) in ``_merged`` order.  Warmup and horizon cut at
-    counts over a window's unsorted draws, equal to positions in that
-    order; a window with nothing measured is skipped unless it is the last.
+    Yields first each content's latest request time at or before 0, then
+    each window's measured (times, ids, prev) in ``_merged`` order.  The
+    streams are stationary from t = 0 on, so no warmup is drawn: a run
+    measures the first horizon_events - max(warmup_events,
+    ceil(total_rate * warmup_time)) requests, or those before
+    horizon_time - max(warmup_time, warmup_events / total_rate) (nothing
+    if that is not positive).  The event horizon cuts at a count over a
+    window's unsorted draws, equal to a position in that order.  A window
+    expects 2**14 requests, or the run's expected number if that is
+    smaller.
     """
     catalog = config.catalog
-    nxt, rng = init_stationary(catalog, config.seed, replication)
-    last = np.full(catalog.n, -np.inf)
-    width = _WINDOW_EVENTS / catalog.total_rate
-    warm_ev, warm_t = _resolve_warmup(config)
-    done, window, started, final = 0, 0, False, False
+    nxt, last, rng = init_stationary(catalog, config.seed, replication)
+    yield last.copy()
+    rate = catalog.total_rate
+    warm_ev, warm_t = config.warmup
+    if config.horizon_time is None:
+        # the clamp keeps a huge warmup time's request count finite
+        events = config.horizon_events - max(
+            warm_ev, math.ceil(min(rate * warm_t, config.horizon_events)))
+        length = events / rate  # the run's expected length in time
+    else:
+        length = config.horizon_time - max(warm_t, warm_ev / rate)
+    if not length > 0:
+        return
+    width = min(_WINDOW_EVENTS / rate, length)
+    done, window, final = 0, 0, False
     while not final:
         window += 1
         t1 = window * width
         times, ids, prev = _window_draws(catalog.rates, catalog.groups, nxt, last, rng, t1)
-        if config.horizon_time is not None:
-            final = config.horizon_time < t1
-            size = int(np.count_nonzero(times <= config.horizon_time))
+        if config.horizon_time is None:
+            final = done + times.size >= events
+            size = min(times.size, events - done)
+            done += times.size
         else:
-            final = done + times.size >= config.horizon_events
-            size = min(times.size, config.horizon_events - done)
-        first = 0 if started else min(size, max(warm_ev - done,
-                                                 int(np.count_nonzero(times < warm_t))))
-        done += times.size
-        if first == size and not final:
-            continue
+            final = length <= t1
+            size = int(np.count_nonzero(times < length))
         times, ids, prev = _merged(times, ids, prev)
-        if not started:
-            started = True
-            # each content's latest request before the first measured one:
-            # the prev of its next request, else its latest drawn
-            start = last.copy()
-            at = first + np.unique(ids[first:], return_index=True)[1]
-            start[ids[at]] = prev[at]
-            yield start
-        yield times[first:size], ids[first:size], prev[first:size]
+        yield times[:size], ids[:size], prev[:size]
         del times, ids, prev  # free this window before the next is drawn
 
 
@@ -314,28 +331,27 @@ class _Lru:
 
     The cache holds the contents whose latest request is at or after
     position ``p``.  ``latest[i]`` is the position of content i's latest
-    request (-1 if the sequence holds none); ``seq`` holds the requested
-    contents from position ``base`` on, and ``at`` their times when the
-    reuse window is sampled.  An entry is live iff it is its content's
-    latest request, and ``count`` live entries lie at or after ``p``.
-    ``p`` moves only forward: over dead entries, and past the least recent
-    live one to evict it.
+    request; ``seq`` holds the requested contents from position ``base``
+    on, and ``at`` their times when the reuse window is sampled.  An entry
+    is live iff it is its content's latest request, and exactly
+    ``capacity`` live entries lie at or after ``p``: the cache is full
+    from the start.  ``p`` moves only forward: over dead entries, and past
+    the least recent live one to evict it.
 
     LRU depends only on the recency order, so the state at any moment is
     the ``capacity`` most recently requested contents.  The constructor
-    takes each content's latest request time so far (-inf before its
-    first) and caches the ``capacity`` requested contents with the largest
-    (time, content index), the merge's own order, as positions 0, 1, ...
-    from least to most recent; with every time -inf the cache is empty.
+    takes every content's latest request time at or before the start and
+    caches the ``capacity`` contents with the largest (time, content
+    index), the merge's own order, as positions 0, 1, ... from least to
+    most recent.
 
     With ``stride``, the reuse window (now minus the least recent cached
     content's latest request time) goes to ``taus`` before every stride-th
-    measured request, the next at position ``due``, if the cache is full;
-    the scan notes the window's two ends (positions) in the same loop as
-    the update, and the window's widths are then taken from the request
-    times ``at`` in one vector step.  With no stride ``due`` is -1, a
-    position the scan never reaches.  ``check`` counts the live entries
-    against ``count`` and the capacity.
+    measured request, the next at position ``due``; the scan notes the
+    window's two ends (positions) in the same loop as the update, and the
+    window's widths are then taken from the request times ``at`` in one
+    vector step.  With no stride ``due`` is -1, a position the scan never
+    reaches.  ``check`` counts the live entries against the capacity.
     """
 
     def __init__(self, last, capacity, stride, check):
@@ -343,46 +359,42 @@ class _Lru:
         self.taus, self.ends = [], []  # tau arrays by window; the scan's (k, p) pairs
         # sort only the times at or above the capacity-th largest, ties included
         cut = np.partition(last, last.size - capacity)[last.size - capacity]
-        top = np.flatnonzero((last >= cut) & (last > -np.inf))
+        top = np.flatnonzero(last >= cut)
         order = top[np.argsort(last[top], kind="stable")][-capacity:]  # ties: by index
         latest = np.full(last.size, -1, dtype=np.int64)
-        latest[order] = np.arange(order.size)
+        latest[order] = np.arange(capacity)
         self.latest, self.seq, self.at = latest.tolist(), order.tolist(), last[order]
         self.base = self.p = 0
-        self.count = self.pos = order.size
+        self.pos = capacity
         self.due = self.pos if stride else -1  # position of the next reuse-window sample
 
     def _scan(self, ids, misses):
         """The LRU update: apply requests in order and append the positions
         of the misses.  A request hits iff its content's latest request is
         at or after p.  Before the request at position ``due`` the ends of
-        its reuse window go to ``ends`` if the cache is full."""
-        latest, seq, base, capacity = self.latest, self.seq, self.base, self.capacity
-        p, count, due = self.p, self.count, self.due
+        its reuse window go to ``ends``."""
+        latest, seq, base, stride = self.latest, self.seq, self.base, self.stride
+        p, due = self.p, self.due
         record, end = misses.append, self.ends.append
         for k, i in enumerate(ids, self.pos):
             if k == due:
-                due += self.stride
-                if count == capacity:
-                    while latest[seq[p - base]] != p:  # skip dead entries to the least recent
-                        p += 1
-                    end(k)
-                    end(p)
+                due += stride
+                while latest[seq[p - base]] != p:  # skip dead entries to the least recent
+                    p += 1
+                end(k)
+                end(p)
             if latest[i] < p:
                 record(k)
-                if count == capacity:
-                    while latest[seq[p - base]] != p:
-                        p += 1
+                while latest[seq[p - base]] != p:
                     p += 1
-                else:
-                    count += 1
+                p += 1
             latest[i] = k
-        self.p, self.count, self.due = p, count, due
+        self.p, self.due = p, due
         self.pos += len(ids)
 
     def _least_recent(self):
         """Skip the dead entries at p; p is then the least recent cached
-        content's latest request (the cache must not be empty)."""
+        content's latest request."""
         latest, seq, base, p = self.latest, self.seq, self.base, self.p
         while latest[seq[p - base]] != p:
             p += 1
@@ -401,16 +413,14 @@ class _Lru:
                 k, p = np.array(self.ends).reshape(-1, 2).T - self.base
                 self.taus.append(self.at[k] - self.at[p])
                 self.ends.clear()
-        if self.count:
-            cut = self._least_recent()
-            del self.seq[:cut]
-            self.at = self.at[cut:]
-            self.base = self.p
+        cut = self._least_recent()
+        del self.seq[:cut]
+        self.at = self.at[cut:]
+        self.base = self.p
         if self.check:  # raised, not asserted: python -O keeps it
             live = sum(self.latest[i] == k for k, i in enumerate(self.seq, self.base))
-            if live != self.count or self.count > self.capacity:
-                raise AssertionError(f"LRU holds {live} live entries, counts {self.count}, "
-                                     f"capacity {self.capacity}")
+            if live != self.capacity:
+                raise AssertionError(f"LRU holds {live} live entries, capacity {self.capacity}")
         hit = np.ones(len(ids), dtype=bool)
         hit[np.frombuffer(misses, dtype=np.int64) - start] = False
         return hit
@@ -473,6 +483,9 @@ def _replicate_all(configs, workers: int | None = None) -> list:
     (see ``_take``); each config's results are merged in replication
     order, so the reports do not depend on the workers.
     """
+    for c in configs:  # solve each default warmup once, before the pool forks
+        with contextlib.suppress(ConfigError, NumericsError):
+            c.warmup  # a failed solve fails each replication of its config alone
     cost = [c.horizon_events or c.horizon_time * c.catalog.total_rate for c in configs]
     keys = sorted(((i, rep) for i, c in enumerate(configs) for rep in range(c.replications)),
                   key=lambda key: -cost[key[0]])

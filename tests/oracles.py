@@ -63,18 +63,23 @@ def lru_irm_product_form(p, C):
     return hit
 
 
-def ordered_dict_lru(ids, times, capacity, first=0, stride=0):
+def ordered_dict_lru(ids, times, capacity, start, stride=0):
     """Replay requests through an OrderedDict recency list (content -> latest
     request time, least recent first), the simulator's former LRU loop.
 
-    Returns the hit flag of every request and the reuse windows (now minus
-    the least recent cached content's latest request time) sampled, with
-    ``stride``, before the requests first, first + stride, ... whenever
-    capacity contents are cached.
+    The list starts as the ``capacity`` contents with the largest
+    (``start`` time, content index), start[i] being content i's latest
+    request before the first one replayed.  Returns the hit flag of every
+    request and the reuse windows (now minus the least recent cached
+    content's latest request time) sampled, with ``stride``, before the
+    requests 0, stride, 2 stride, ...
     """
-    cache, hits, taus = OrderedDict(), [], []
+    start = np.asarray(start).tolist()
+    first = sorted(range(len(start)), key=lambda i: (start[i], i))[-capacity:]
+    cache = OrderedDict((i, start[i]) for i in first)
+    hits, taus = [], []
     for k, (i, t) in enumerate(zip(ids.tolist(), times.tolist())):
-        if stride and k >= first and (k - first) % stride == 0 and len(cache) >= capacity:
+        if stride and k % stride == 0:
             taus.append(t - next(iter(cache.values())))
         hits.append(i in cache)
         if i in cache:

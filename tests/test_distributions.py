@@ -290,16 +290,16 @@ class TestSampling:
     def test_exponential_age_empirical_cdf(self):
         rng = np.random.default_rng(12)
         d = Exponential(1.0)
-        x = d.sample_age_batch(rng, 200_000)
-        assert abs((x <= 1.0).mean() - (1.0 - math.exp(-1.0))) < 0.004
+        for x in d.sample_straddle_batch(rng, 200_000):
+            assert abs((x <= 1.0).mean() - (1.0 - math.exp(-1.0))) < 0.004
 
     def test_gamma_age_mean_matches_quadrature(self):
         d = Gamma(2.0, 2.0)
         rng = np.random.default_rng(13)
-        x = d.sample_age_batch(rng, 20_000)
         target, _ = integrate.quad(lambda t: t * d.rate * d.ccdf(t), 0.0, np.inf)
-        se = x.std(ddof=1) / math.sqrt(x.size)
-        assert abs(x.mean() - target) < 3.0 * se
+        for x in d.sample_straddle_batch(rng, 20_000):
+            se = x.std(ddof=1) / math.sqrt(x.size)
+            assert abs(x.mean() - target) < 3.0 * se
 
     @pytest.mark.parametrize("d", ALL_FAMILIES, ids=lambda d: type(d).__name__ + repr(d.mean))
     def test_inter_sampler_mean(self, d):
@@ -309,17 +309,22 @@ class TestSampling:
         assert abs(x.mean() - d.mean) < 4.0 * se
 
     @pytest.mark.parametrize("d", AGE_SAMPLED, ids=lambda d: type(d).__name__ + repr(d.mean))
-    def test_age_batch_ks_against_age_cdf(self, d):
+    def test_straddle_batch_ks_against_age_cdf_and_uniform_split(self, d):
+        # the straddling gap has joint density g(a + r) / mean: R and A each
+        # follow the age law, and given A + R the split R / (A + R) is
+        # uniform; three KS tests at 1e-3 each, a Bonferroni level of 3e-3
         rng = np.random.default_rng(1707)
-        x = d.sample_age_batch(rng, 200_000)
-        assert stats.kstest(x, d.age_cdf).pvalue > 1e-3
+        residual, age = d.sample_straddle_batch(rng, 200_000)
+        assert stats.kstest(residual, d.age_cdf).pvalue > 1e-3
+        assert stats.kstest(age, d.age_cdf).pvalue > 1e-3
+        assert stats.kstest(residual / (age + residual), "uniform").pvalue > 1e-3
 
     def test_erlang_age_sampler_matches_age_cdf(self):
         d = Erlang(3, 1.5)
         rng = np.random.default_rng(6)
-        x = d.sample_age_batch(rng, 100_000)
-        for t in (0.5, 1.0, 2.0, 4.0):
-            assert abs((x <= t).mean() - d.age_cdf(t)) < 0.006
+        for x in d.sample_straddle_batch(rng, 100_000):
+            for t in (0.5, 1.0, 2.0, 4.0):
+                assert abs((x <= t).mean() - d.age_cdf(t)) < 0.006
 
 
 class TestStandardize:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import multiprocessing
 import sys
@@ -10,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from ttlapprox.approx import characteristic_time
+from ttlapprox.approx import characteristic_time, ttl_hit
 from ttlapprox.distributions import (Exponential, Gamma, Hyperexponential,
                                      InterRequestDistribution, ParetoLomax, Weibull)
-from ttlapprox import simulator
-from ttlapprox.errors import ConfigError
+from ttlapprox import approx, simulator
+from ttlapprox.errors import ConfigError, NumericsError
 from ttlapprox.popularity import ContentCatalog, ZipfLaw, build_catalog
 from ttlapprox.simulator import (_WINDOW_EVENTS, LRU, TTL, SimulationConfig, _Lru, _merged,
                                  _window_draws, init_stationary, replicate, run)
@@ -45,32 +46,39 @@ def traced(config):
     return report, np.array(times), np.array(ids), np.array(hits)
 
 
-def brute_force_lru(ids, times, C):
-    """Replay through a recency list: per request, whether it hits and the
-    reuse window just before it (None while fewer than C contents were
-    seen)."""
-    recency, last, hits, taus = [], {}, [], []
+def start_of(config, replication=0):
+    """Each content's latest request at or before 0, as the request stream
+    yields it first."""
+    return next(simulator._requests(config, replication))
+
+
+def brute_force_lru(ids, times, C, start):
+    """Replay through a recency list of all contents, which starts ordered
+    by (start time, content index), most recent first: per request, whether
+    it hits and the reuse window just before it."""
+    recency = sorted(range(start.size), key=lambda i: (start[i], i), reverse=True)
+    last, hits, taus = dict(enumerate(start.tolist())), [], []
     for i, t in zip(ids.tolist(), times.tolist()):
-        taus.append(t - last[recency[C - 1]] if len(recency) >= C else None)
+        taus.append(t - last[recency[C - 1]])
         hits.append(i in recency[:C])
-        if i in recency:
-            recency.remove(i)
+        recency.remove(i)
         recency.insert(0, i)
         last[i] = t
     return np.array(hits), taus
 
 
 class ConstantGap(InterRequestDistribution):
-    """Test-only unit-mean law: every gap is 1 and every age 1/4, so
-    contents of equal rate request at exactly the same times."""
+    """Test-only unit-mean law: every gap is 1, and the gap straddling 0 has
+    residual 1/4 and age 3/4, so contents of equal rate request at exactly
+    the same times."""
 
     mean = 1.0
 
     def sample_inter_batch(self, rng, size):
         return np.ones(size)
 
-    def sample_age_batch(self, rng, size):
-        return np.full(size, 0.25)
+    def sample_straddle_batch(self, rng, size):
+        return np.full(size, 0.25), np.full(size, 0.75)
 
 
 class TestConfigValidation:
@@ -101,24 +109,28 @@ class TestConfigValidation:
 class TestStationaryInit:
     def test_exponential_first_arrival_distribution(self):
         cat = exp_catalog([2.0])
-        rng_draws = []
+        first, age = [], []
         for seed in range(20_000):
-            arr, _ = init_stationary(cat, seed)
-            rng_draws.append(arr[0])
-        x = np.asarray(rng_draws)
-        # memoryless: first arrival is exponential with the content's rate
-        for t in (0.2, 0.5, 1.0):
-            assert abs((x <= t).mean() - (1 - math.exp(-2 * t))) < 0.01
+            nxt, last, _ = init_stationary(cat, seed)
+            first.append(nxt[0])
+            age.append(-last[0])
+        # memoryless: the first arrival and the age at 0 are exponential
+        # with the content's rate
+        for x in (np.asarray(first), np.asarray(age)):
+            for t in (0.2, 0.5, 1.0):
+                assert abs((x <= t).mean() - (1 - math.exp(-2 * t))) < 0.01
 
     def test_gamma_age_law_at_grid_points(self):
-        # unit-rate contents: every first arrival is a draw from d's age law
+        # unit-rate contents: every first arrival, and every age at 0, is a
+        # draw from d's age law
         d = Gamma(2.0, 2.0)
         n = 100_000
         cat = ContentCatalog(rates=np.ones(n), classes=(d,),
                              class_of=np.zeros(n, dtype=np.int64))
-        x, _ = init_stationary(cat, 0)
+        x, last, _ = init_stationary(cat, 0)
         for t in (0.25, 0.5, 1.0, 2.0, 4.0):
             assert abs((x <= t).mean() - d.age_cdf(t)) < 0.005
+            assert abs((-last <= t).mean() - d.age_cdf(t)) < 0.005
 
     def test_bitwise_determinism(self):
         cfg = SimulationConfig(catalog=THREE, policy=LRU(2), horizon_events=30_000,
@@ -128,6 +140,80 @@ class TestStationaryInit:
         assert np.array_equal(a.requests, b.requests)
         assert np.array_equal(a.hits, b.hits)
         assert a.elapsed_time == b.elapsed_time
+
+
+def per_run_z(config, runs, exact):
+    """Per-content and aggregate z of ``runs`` replications of config
+    against exact per-content hit probabilities.  In each run a content's
+    hits less exact times its requests have mean 0; z is their mean over
+    the runs in standard errors of that mean, and the aggregate z that of
+    their sum over the contents."""
+    reports = [run(config, replication=r) for r in range(runs)]
+    reqs = np.array([r.requests for r in reports])
+    d = np.array([r.hits for r in reports]) - exact * reqs
+    total = d.sum(axis=1)
+    return (d.mean(axis=0) / (d.std(axis=0, ddof=1) / math.sqrt(runs)),
+            total.mean() / (total.std(ddof=1) / math.sqrt(runs)))
+
+
+def bonferroni_z(tests, level=1e-3):
+    """Two-sided z bound of ``tests`` tests at family level ``level``."""
+    return stats.norm.ppf(1.0 - level / (2 * tests))
+
+
+class TestExactStart:
+    """Each stream starts exactly stationary at 0, so hit ratios are
+    unbiased with no warmup at all, over runs far too short to wash out an
+    empty start; and the cache starts full, as the C contents with the
+    latest requests before 0."""
+
+    def test_lru_hits_match_the_irm_oracle_with_no_warmup(self):
+        # Poisson streams: from the stationary start every request sees the
+        # stationary LRU state, so a fixed number of requests is unbiased
+        p = np.arange(1, 8) ** -0.8
+        p /= p.sum()
+        cfg = SimulationConfig(catalog=exp_catalog(7.0 * p), policy=LRU(3), horizon_events=40,
+                               warmup_events=0, seed=61)
+        z, z_agg = per_run_z(cfg, 4000, lru_irm_product_form(p, 3))
+        z_star = bonferroni_z(p.size + 1)
+        assert np.all(np.abs(z) < z_star) and abs(z_agg) < z_star
+
+    def test_ttl_hits_match_ttl_hit_with_no_warmup(self):
+        # bursty renewal streams over a fixed time span: by the Campbell
+        # formula each content's expected hits are ttl_hit times its
+        # expected requests (about 300 per run)
+        cat = build_catalog(ZipfLaw(0.8), 200, 200.0,
+                            [(0.5, Gamma(0.5, 1.0)), (0.5, Weibull(0.7, 1.0))])
+        T = characteristic_time(cat, 60.0).t
+        cfg = SimulationConfig(catalog=cat, policy=TTL(T), horizon_time=1.5, warmup_events=0,
+                               seed=62)
+        z, z_agg = per_run_z(cfg, 3000, ttl_hit(cat, T).per_content)
+        z_star = bonferroni_z(cat.n + 1)
+        assert np.all(np.abs(z) < z_star) and abs(z_agg) < z_star
+
+    @pytest.mark.parametrize("stride", [0, 3])
+    @pytest.mark.parametrize("C", [5, 17, 40, 63])
+    def test_tied_latest_requests_cached_in_merge_order(self, C, stride):
+        # 16 contents share each latest request time before 0, and C cuts
+        # through a group of them
+        rep, _, _ = check_against_ordered_dict_loop(
+            TIED, C, stride, seed=0, horizon={"horizon_events": 4 * _WINDOW_EVENTS})
+        assert rep.total_requests == 4 * _WINDOW_EVENTS
+        top = np.sort(start_of(SimulationConfig(catalog=TIED, policy=LRU(C), horizon_events=1,
+                                                warmup_events=0)))[::-1]
+        assert top[C - 1] == top[C]
+
+    @pytest.mark.parametrize("C", [29, 30])
+    def test_contents_never_requested_stay_cached(self, C):
+        # Zipf(3): only about 20 of 30 contents are requested in the run,
+        # and the others keep their places from the start
+        cat = build_catalog(ZipfLaw(3.0), 30, 30.0,
+                            [(0.5, Gamma(0.5, 1.0)), (0.5, Weibull(0.7, 1.0))])
+        width = _WINDOW_EVENTS / cat.total_rate
+        for stride in (0, 1):
+            _, _, ids = check_against_ordered_dict_loop(
+                cat, C, stride, seed=41, horizon={"horizon_time": width})
+            assert np.unique(ids).size < C - 1
 
 
 class TestRun:
@@ -193,40 +279,39 @@ class TestRun:
 
 class TestRecencySemantics:
     # every request is measured (warmup 0), so the trace is the whole path
-    # and spans several windows of the engine
+    # from 0 and spans several windows of the engine; replays start from
+    # each content's latest request before 0
 
     def test_measure_tau_example(self):
         cfg = SimulationConfig(catalog=RENEWAL, policy=LRU(2), horizon_events=40_000,
                                warmup_events=0, seed=3, tau_stride=1)
         rep, times, ids, _ = traced(cfg)
-        _, taus = brute_force_lru(ids, times, 2)
-        expected = [tau for tau in taus if tau is not None]
+        _, taus = brute_force_lru(ids, times, 2, start_of(cfg))
         assert times[-1] > 2 * _WINDOW_EVENTS / RENEWAL.total_rate
-        assert np.array_equal(rep.tau_samples, expected)
+        assert np.array_equal(rep.tau_samples, taus)
 
     def test_measure_tau_capacity_one(self):
         # with C = 1 the window is the time since the previous request
         cfg = SimulationConfig(catalog=RENEWAL, policy=LRU(1), horizon_events=40_000,
                                warmup_events=0, seed=4, tau_stride=1)
         rep, times, _, _ = traced(cfg)
-        assert np.array_equal(rep.tau_samples, np.diff(times))
+        assert np.array_equal(rep.tau_samples, np.diff(times, prepend=start_of(cfg).max()))
 
-    def test_measure_tau_undefined(self):
-        # no window is sampled before C distinct contents have been seen,
-        # and with warmup and stride 5 the samples are every fifth measured
-        # request of the same path, counted across windows
+    def test_measure_tau_from_the_start(self):
+        # the cache is full from the start, so the window is sampled before
+        # every measured request; with warmup and stride 5 the samples are
+        # every fifth request of the same, shorter path, counted across
+        # windows
         full = SimulationConfig(catalog=RENEWAL, policy=LRU(12), horizon_events=40_000,
                                 warmup_events=0, seed=5, tau_stride=1)
         rep, times, ids, _ = traced(full)
-        _, taus = brute_force_lru(ids, times, 12)
-        undefined = sum(tau is None for tau in taus)
-        assert 12 <= undefined < rep.total_requests
-        assert taus[undefined:].count(None) == 0
-        assert np.array_equal(rep.tau_samples, taus[undefined:])
+        _, taus = brute_force_lru(ids, times, 12, start_of(full))
+        assert rep.tau_samples.size == rep.total_requests
+        assert np.array_equal(rep.tau_samples, taus)
         strided = SimulationConfig(catalog=RENEWAL, policy=LRU(12),
                                    horizon_events=40_000, warmup_events=7_001, seed=5,
                                    tau_stride=5)
-        assert np.array_equal(run(strided).tau_samples, taus[7_001::5])
+        assert np.array_equal(run(strided).tau_samples, taus[:40_000 - 7_001:5])
 
     def test_lru_hit_iff_among_c_most_recent(self):
         for C in (1, 5, 11):
@@ -235,7 +320,7 @@ class TestRecencySemantics:
             rep, times, ids, hits = traced(cfg)
             assert rep.total_requests == times.size == 40_000
             assert np.all(np.diff(times) >= 0)
-            assert np.array_equal(hits, brute_force_lru(ids, times, C)[0])
+            assert np.array_equal(hits, brute_force_lru(ids, times, C, start_of(cfg))[0])
 
     def test_ttl_hit_iff_previous_request_within_timer(self):
         T = 1.3
@@ -243,10 +328,10 @@ class TestRecencySemantics:
                                warmup_events=0, seed=18)
         _, times, ids, hits = traced(cfg)
         assert np.all(np.diff(times) >= 0)
-        last = {}
+        last = dict(enumerate(start_of(cfg).tolist()))
         expected = []
         for i, t in zip(ids.tolist(), times.tolist()):
-            expected.append(i in last and t - last[i] <= T)
+            expected.append(t - last[i] <= T)
             last[i] = t
         assert np.array_equal(hits, expected)
 
@@ -274,25 +359,23 @@ TIED = ContentCatalog(rates=np.tile([1.0, 2.0, 4.0, 0.5], 16), classes=(Constant
                       class_of=np.zeros(64, dtype=np.int64))
 
 
-def check_against_ordered_dict_loop(catalog, C, stride, seed, warmup, horizon):
+def check_against_ordered_dict_loop(catalog, C, stride, seed, horizon,
+                                    warmup={"warmup_events": 0}):
     """Run LRU(C) with ``check_invariants`` and compare hits, requests,
     tau_samples and elapsed_time bitwise with ``ordered_dict_lru`` replayed
-    over the whole sample path, which depends on the seed alone.  Returns
-    the report, the path's times and contents, and the index of its first
-    measured request."""
-    _, times, ids, _ = traced(SimulationConfig(catalog=catalog, policy=TTL(1.0),
-                                               warmup_events=0, seed=seed, **horizon))
+    over the same sample path from the same start; path and start depend
+    on the seed and the measured horizon alone.  Returns the report and
+    the path's times and contents."""
+    path = SimulationConfig(catalog=catalog, policy=TTL(1.0), seed=seed, **warmup, **horizon)
+    _, times, ids, _ = traced(path)
     rep = run(SimulationConfig(catalog=catalog, policy=LRU(C), seed=seed, tau_stride=stride,
                                check_invariants=True, **warmup, **horizon))
-    first = min(times.size, max(warmup.get("warmup_events", 0),
-                                int(np.searchsorted(times, warmup.get("warmup_time", 0.0)))))
-    hit, taus = ordered_dict_lru(ids, times, C, first=first, stride=stride)
-    seen = ids[first:]
-    assert np.array_equal(rep.requests, np.bincount(seen, minlength=catalog.n))
-    assert np.array_equal(rep.hits, np.bincount(seen[hit[first:]], minlength=catalog.n))
+    hit, taus = ordered_dict_lru(ids, times, C, start_of(path), stride=stride)
+    assert np.array_equal(rep.requests, np.bincount(ids, minlength=catalog.n))
+    assert np.array_equal(rep.hits, np.bincount(ids[hit], minlength=catalog.n))
     assert rep.tau_samples.tobytes() == taus.tobytes()
-    assert rep.elapsed_time == (times[-1] - times[first] if seen.size else 0.0)
-    return rep, times, ids, first
+    assert rep.elapsed_time == times[-1] - times[0]
+    return rep, times, ids
 
 
 class TestPointerScan:
@@ -305,83 +388,59 @@ class TestPointerScan:
         cases = [({"horizon_events": 60_000}, stride) for stride in (0, 1, 7, 16)]
         cases.append(({"horizon_time": 2.5 * width}, 7))
         for horizon, stride in cases:
-            # the warmup ends inside the second window
-            rep, times, _, first = check_against_ordered_dict_loop(
-                ZIPF_RENEWAL, C, stride, seed=37, warmup={"warmup_events": 20_000},
-                horizon=horizon)
-            assert width < times[first] < 2 * width < times[-1]
-            if stride and C <= 600:  # near n, the cache does not fill in this path
+            # the warmup shortens the measured path, which spans two windows
+            rep, times, _ = check_against_ordered_dict_loop(
+                ZIPF_RENEWAL, C, stride, seed=37, horizon=horizon,
+                warmup={"warmup_events": 20_000})
+            assert times[0] < width < times[-1]
+            if stride:  # the cache is full from the start
                 assert rep.tau_samples.size > 0
 
 
-class TestWarmupRebuild:
-    """Windows wholly inside the warmup are neither merged nor scanned; the
-    LRU starts at the first measured window from each content's latest
-    request, which must give the same path as scanning the warmup."""
+def assert_same_run(a, b):
+    assert np.array_equal(a.requests, b.requests) and np.array_equal(a.hits, b.hits)
+    assert a.tau_samples.tobytes() == b.tau_samples.tobytes()
+    assert a.elapsed_time == b.elapsed_time
 
-    @pytest.mark.parametrize("stride", [0, 3])
-    @pytest.mark.parametrize("C", [5, 17, 40, 63])
-    def test_tied_latest_requests_cached_in_merge_order(self, C, stride):
-        # the warmup ends exactly at a window edge, so the first measured
-        # request sees the rebuilt state itself; 16 contents share each
-        # latest request time, and C cuts through a group of them
-        width = _WINDOW_EVENTS / TIED.total_rate
-        rep, times, ids, first = check_against_ordered_dict_loop(
-            TIED, C, stride, seed=0, warmup={"warmup_time": 2 * width},
-            horizon={"horizon_events": 4 * _WINDOW_EVENTS})
-        assert times[first - 1] < 2 * width <= times[first]
-        assert rep.total_requests > _WINDOW_EVENTS
-        latest = np.full(TIED.n, -np.inf)
-        np.maximum.at(latest, ids[:first], times[:first])
-        top = np.sort(latest)[::-1]
-        assert top[C - 1] == top[C]
 
-    @pytest.mark.parametrize("C", [29, 30])
-    def test_fewer_requested_contents_than_capacity(self, C):
-        # Zipf(3): only 20 of 30 contents are requested in the first window
-        cat = build_catalog(ZipfLaw(3.0), 30, 30.0,
-                            [(0.5, Gamma(0.5, 1.0)), (0.5, Weibull(0.7, 1.0))])
-        width = _WINDOW_EVENTS / cat.total_rate
-        for stride in (0, 1):
-            _, times, ids, first = check_against_ordered_dict_loop(
-                cat, C, stride, seed=41, warmup={"warmup_time": width},
-                horizon={"horizon_time": 4 * width})
-            assert np.unique(ids[:first]).size < C - 1
+def counting_law(law, drawn):
+    """``law`` with every sampler call appended to ``drawn`` as (sampler,
+    size)."""
+    class Counting(InterRequestDistribution):
+        mean = law.mean
 
-    def test_warmup_outlasts_time_horizon(self):
+        def sample_inter_batch(self, rng, size):
+            drawn.append(("inter", size))
+            return law.sample_inter_batch(rng, size)
+
+        def sample_straddle_batch(self, rng, size):
+            drawn.append(("straddle", size))
+            return law.sample_straddle_batch(rng, size)
+
+    return Counting()
+
+
+class TestWarmupNotDrawn:
+    """The streams start stationary, so a warmup is not simulated: it only
+    shortens the measured horizon, from 0 on."""
+
+    @pytest.mark.parametrize("policy, stride", [(LRU(600), 0), (LRU(600), 7), (LRU(600), 16),
+                                                (TTL(1.0), 0)], ids=str)
+    def test_warmup_run_equals_the_shorter_run(self, policy, stride):
         width = _WINDOW_EVENTS / ZIPF_RENEWAL.total_rate
-        for C in (1, 600, 2000):
-            rep, times, _, first = check_against_ordered_dict_loop(
-                ZIPF_RENEWAL, C, 3, seed=9, warmup={"warmup_events": 10 * _WINDOW_EVENTS},
-                horizon={"horizon_time": 3.5 * width})
-            assert first == times.size > 3 * _WINDOW_EVENTS  # nothing measured
-            assert rep.total_requests == 0 and rep.elapsed_time == 0.0
-            assert rep.tau_samples.size == 0
+        for warm, horizon, short in (
+                ({"warmup_events": 20_000}, {"horizon_events": 60_000},
+                 {"horizon_events": 40_000}),
+                ({"warmup_time": 0.7 * width}, {"horizon_time": 3.2 * width},
+                 {"horizon_time": 3.2 * width - 0.7 * width})):
+            a, b = (run(SimulationConfig(catalog=ZIPF_RENEWAL, policy=policy, seed=53,
+                                         tau_stride=stride, check_invariants=True, **w, **h))
+                    for w, h in ((warm, horizon), ({"warmup_events": 0}, short)))
+            assert a.total_requests > 2 * _WINDOW_EVENTS
+            assert_same_run(a, b)
 
-    @pytest.mark.parametrize("C", [1, 600, 1999])
-    def test_warmup_ends_mid_window_after_skipped_windows(self, C):
-        width = _WINDOW_EVENTS / ZIPF_RENEWAL.total_rate
-        for stride in (0, 7):
-            _, times, _, first = check_against_ordered_dict_loop(
-                ZIPF_RENEWAL, C, stride, seed=43,
-                warmup={"warmup_events": int(3.5 * _WINDOW_EVENTS)},
-                horizon={"horizon_events": 6 * _WINDOW_EVENTS})
-            assert 3 * width < times[first - 1] < times[first] < 4 * width
-
-    @pytest.mark.parametrize("C", [1, 600])
-    def test_warmup_ends_in_the_final_window_before_its_cut(self, C):
-        # a content's latest request before the first measured one is the
-        # prev of its next request, which may lie past the horizon's cut
-        width = _WINDOW_EVENTS / ZIPF_RENEWAL.total_rate
-        for horizon in ({"horizon_events": int(1.8 * _WINDOW_EVENTS)},
-                        {"horizon_time": 1.8 * width}):
-            _, times, _, first = check_against_ordered_dict_loop(
-                ZIPF_RENEWAL, C, 7, seed=37, warmup={"warmup_events": int(1.5 * _WINDOW_EVENTS)},
-                horizon=horizon)
-            assert width < times[first] < times[-1] < 2 * width
-
-    def test_warmup_only_windows_are_not_scanned(self, monkeypatch):
-        scanned = []
+    def test_warmup_draws_the_same_gaps(self, monkeypatch):
+        drawn, scanned = [], []
         scan = _Lru._scan
 
         def counting_scan(self, ids, misses):
@@ -389,12 +448,37 @@ class TestWarmupRebuild:
             scan(self, ids, misses)
 
         monkeypatch.setattr(_Lru, "_scan", counting_scan)
+        law = counting_law(ZIPF_RENEWAL.classes[0], drawn)
+        cat = ContentCatalog(rates=ZIPF_RENEWAL.rates, classes=(law,),
+                             class_of=np.zeros(ZIPF_RENEWAL.n, dtype=np.int64))
+        counts, W, H = [], int(3.5 * _WINDOW_EVENTS), 6 * _WINDOW_EVENTS
+        for warm, horizon in (({"warmup_events": W}, {"horizon_events": H}),
+                              ({"warmup_events": 0}, {"horizon_events": H - W})):
+            drawn.clear()
+            scanned.clear()
+            rep = run(SimulationConfig(catalog=cat, policy=LRU(600), seed=47, **warm, **horizon))
+            assert sum(scanned) == rep.total_requests  # the measured requests alone
+            counts.append(list(drawn))
+        assert counts[0] == counts[1]
+        assert counts[0][0] == ("straddle", cat.n)
+
+    def test_nothing_drawn_when_the_warmup_outlasts_the_horizon(self, monkeypatch):
+        windows = []
+        draws = simulator._window_draws
+        monkeypatch.setattr(simulator, "_window_draws",
+                            lambda *args: windows.append(args[-1]) or draws(*args))
         width = _WINDOW_EVENTS / ZIPF_RENEWAL.total_rate
-        rep, times, _, first = check_against_ordered_dict_loop(
-            ZIPF_RENEWAL, 600, 0, seed=47, warmup={"warmup_events": int(3.5 * _WINDOW_EVENTS)},
-            horizon={"horizon_events": 6 * _WINDOW_EVENTS})
-        assert times[first] > 3 * width
-        assert sum(scanned) == rep.total_requests  # the measured requests alone
+        for C in (1, 600, 2000):
+            rep = run(SimulationConfig(catalog=ZIPF_RENEWAL, policy=LRU(C), seed=9, tau_stride=3,
+                                       warmup_events=10 * _WINDOW_EVENTS,
+                                       horizon_time=3.5 * width))
+            assert rep.total_requests == 0 and rep.elapsed_time == 0.0
+            assert rep.tau_samples.size == 0
+        # a warmup time whose request count overflows a float
+        rep = run(SimulationConfig(catalog=ZIPF_RENEWAL, policy=TTL(1.0), seed=9,
+                                   warmup_time=1e308, horizon_events=60_000))
+        assert rep.total_requests == 0
+        assert windows == []
 
 
 class ShortGap(InterRequestDistribution):
@@ -407,8 +491,8 @@ class ShortGap(InterRequestDistribution):
     def sample_inter_batch(self, rng, size):
         return rng.exponential(1e-3, size)
 
-    def sample_age_batch(self, rng, size):
-        return rng.random(size)
+    def sample_straddle_batch(self, rng, size):
+        return rng.random(size), rng.random(size)
 
 
 class TestWindowDraws:
@@ -433,9 +517,9 @@ class TestWindowDraws:
         assert sum(sizes) > 100 * 8 * 20  # about 8 requests expected per window
 
     def test_draws_per_request_on_the_largest_sweep_row(self):
-        # the convergence sweep's n = 16000 row: its warmup and 1e5 measured
-        # requests span 19 windows; most contents expect about one request
-        # in a window, where a wide margin discards the most gaps
+        # the convergence sweep's n = 16000 row over 19 windows; most
+        # contents expect about one request in a window, where a wide margin
+        # discards the most gaps
         cat = build_catalog(ZipfLaw(0.8), 16000, 16000.0, Exponential(1.0))
         drawn = []
 
@@ -444,18 +528,31 @@ class TestWindowDraws:
                 drawn.append(size)
                 return cat.classes[0].sample_inter_batch(rng, size)
 
-        nxt, rng = init_stationary(cat, seed=3)
-        last = np.full(cat.n, -np.inf)
+        nxt, last, rng = init_stationary(cat, seed=3)
         width = _WINDOW_EVENTS / cat.total_rate
         kept = sum(_window_draws(cat.rates, ((Counted(), np.arange(cat.n)),), nxt, last, rng,
                                  w * width)[0].size for w in range(1, 20))
         assert kept > 300_000
         assert sum(drawn) <= 1.7 * kept
 
+    @pytest.mark.parametrize("horizon", [{"horizon_events": 200}, {"horizon_time": 200 / 12}],
+                             ids=["events", "time"])
+    def test_a_run_shorter_than_a_window_draws_about_its_own_length(self, horizon):
+        # the window expects the run's 200 requests, not the 2**14 whose
+        # gaps a full window would draw
+        drawn = []
+        cat = ContentCatalog(rates=np.linspace(0.5, 1.5, 12),
+                             classes=(counting_law(Exponential(1.0), drawn),),
+                             class_of=np.zeros(12, dtype=np.int64))
+        rep = run(SimulationConfig(catalog=cat, policy=LRU(4), warmup_events=0, seed=7,
+                                   **horizon))
+        gaps = sum(size for sampler, size in drawn if sampler == "inter")
+        assert 150 < rep.total_requests and gaps < 1000
+
     @staticmethod
     def check(catalog, width, windows):
-        (nxt, rng), (nxt0, rng0) = (init_stationary(catalog, seed=3) for _ in range(2))
-        last, last0 = np.full(catalog.n, -np.inf), np.full(catalog.n, -np.inf)
+        (nxt, last, rng), (nxt0, last0, rng0) = (init_stationary(catalog, seed=3)
+                                                 for _ in range(2))
         sizes = []
         for w in range(1, windows + 1):
             new = _window_draws(catalog.rates, catalog.groups, nxt, last, rng, w * width)
@@ -473,21 +570,20 @@ class TestWindowDraws:
 
 class TestWindowMerge:
     def test_tied_times_ordered_by_content(self):
-        # rates 1, 2, 4 and 0.5 repeat over 64 contents, so gaps and ages
-        # are dyadic, every sum is exact, and the 16 contents of each rate
-        # request at the same times
+        # rates 1, 2, 4 and 0.5 repeat over 64 contents, so gaps, residuals
+        # and ages are dyadic, every sum is exact, and the 16 contents of
+        # each rate request at the same times
         rates = np.tile([1.0, 2.0, 4.0, 0.5], 16)
         cat = ContentCatalog(rates=rates, classes=(ConstantGap(),),
                              class_of=np.zeros(rates.size, dtype=np.int64))
-        nxt, rng = init_stationary(cat, seed=0)
-        last = np.full(cat.n, -np.inf)
+        nxt, last, rng = init_stationary(cat, seed=0)
         t1 = _WINDOW_EVENTS / cat.total_rate
         times, ids, prev = _merged(*_window_draws(cat.rates, cat.groups, nxt, last, rng, t1))
         assert times.size > _WINDOW_EVENTS // 2
         assert np.sum(np.diff(times) == 0) > times.size // 2
         assert np.array_equal(np.lexsort((ids, times)), np.arange(times.size))
-        again = np.isfinite(prev)
-        assert np.array_equal((times - prev)[again], 1.0 / rates[ids[again]])
+        # the first request's prev is the start of the gap straddling 0
+        assert np.array_equal(times - prev, 1.0 / rates[ids])
         # and across windows, as the engine sees them
         _, times, ids, _ = traced(SimulationConfig(catalog=cat, policy=TTL(1.0),
                                                    horizon_events=40_000, warmup_events=0))
@@ -519,6 +615,7 @@ class TestWindowMerge:
             assert stats.kstest(u, "uniform").pvalue > 1e-3
 
     def test_horizon_time_cuts_the_same_path(self):
+        # the warmup shortens both runs' measured spans from 0 on
         width = _WINDOW_EVENTS / THREE.total_rate
         horizon = 2.6 * width
         short, long = (SimulationConfig(catalog=THREE, policy=LRU(2), horizon_time=h,
@@ -526,11 +623,11 @@ class TestWindowMerge:
                        for h in (horizon, 4.0 * width))
         rep, t1, i1, h1 = traced(short)
         _, t2, i2, h2 = traced(long)
-        assert t1[-1] <= horizon < t2[-1]
-        assert t1[0] >= 0.3 * width
+        cut = horizon - 0.3 * width
+        assert 0.0 <= t1[0] and t1[-1] < cut < t2[-1]
         k = t1.size
         assert np.array_equal(t1, t2[:k]) and np.array_equal(i1, i2[:k])
-        assert np.array_equal(h1, h2[:k]) and t2[k] > horizon
+        assert np.array_equal(h1, h2[:k]) and t2[k] >= cut
         assert rep.elapsed_time == t1[-1] - t1[0]
 
 
@@ -573,7 +670,7 @@ SMALL_LAWS = [Exponential(1.0), Gamma(0.5, 1.0), Weibull(0.7, 1.0),
 @st.composite
 def small_configs(draw, replications=1):
     """An LRU (capacity 1 to n) or TTL run on a Zipf catalog of 2 to 40
-    contents, 2000 events of which the first 200 are warmup."""
+    contents, 2000 events of which 200 are warmup, so 1800 are measured."""
     n = draw(st.integers(2, 40))
     cat = build_catalog(ZipfLaw(draw(st.floats(0.0, 2.0))), n, float(n),
                         draw(st.sampled_from(SMALL_LAWS)))
@@ -593,8 +690,8 @@ class TestProperties:
         assert rep.total_requests == 1800
         assert np.all((0 <= rep.hits) & (rep.hits <= rep.requests))
         if isinstance(cfg.policy, LRU) and cfg.policy.capacity == cfg.catalog.n:
-            # nothing is evicted, so each content misses at most once
-            assert np.all(rep.requests - rep.hits <= 1)
+            # every content is cached from the start and nothing is evicted
+            assert np.array_equal(rep.hits, rep.requests)
 
     @settings(derandomize=True, deadline=None, max_examples=15)
     @given(cfg=small_configs(replications=3))
@@ -726,6 +823,24 @@ class TestCallPool:
         assert sorted(k for done in taken for k in done) == jobs  # none lost, none twice
         assert all(result == -k for done in taken for k, result in done.items())
 
+    def test_the_default_warmup_is_solved_once_before_the_pool_forks(self, monkeypatch):
+        cfg = SimulationConfig(catalog=RENEWAL, policy=LRU(4), horizon_events=6_000, seed=13,
+                               replications=4)
+        expected = dataclasses.replace(cfg).warmup
+        reference = replicate(dataclasses.replace(cfg), workers=1)
+        solve, calls = approx.characteristic_time, []
+
+        def once(*args, **kwargs):  # forked workers inherit calls as it is at the fork
+            if calls:
+                raise NumericsError("characteristic time solved twice")
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(approx, "characteristic_time", once)
+        report = replicate(cfg, workers=2)
+        assert len(calls) == 1 and cfg.warmup == expected
+        assert_same_report(report, reference)
+
     def test_a_law_redefined_between_calls_runs_as_redefined(self, monkeypatch):
         def law(shape):  # a unit-mean Gamma, made under the same importable name
             class Late(InterRequestDistribution):
@@ -734,8 +849,8 @@ class TestCallPool:
                 def sample_inter_batch(self, rng, size):
                     return rng.gamma(shape, 1.0 / shape, size)
 
-                def sample_age_batch(self, rng, size):
-                    return rng.exponential(1.0, size)
+                def sample_straddle_batch(self, rng, size):
+                    return rng.exponential(1.0, size), rng.exponential(1.0, size)
 
             Late.__module__, Late.__qualname__ = module.__name__, "Late"
             module.Late = Late
