@@ -17,8 +17,7 @@ catalog = build_catalog(ZipfLaw(0.7), n, total_rate=float(n),
 T = characteristic_time(catalog, C).t
 prediction = ttl_hit(catalog, T)
 
-config = SimulationConfig(catalog=catalog, policy=LRU(C),
-                          horizon_events=1_050_000, warmup_events=50_000,
+config = SimulationConfig(catalog=catalog, policy=LRU(C), horizon_events=1_000_000,
                           seed=2026, replications=8)
 report = replicate(config)
 

@@ -16,9 +16,7 @@ from ttlapprox import (LRU, Exponential, SimulationConfig, ZipfLaw, build_catalo
 for n, C in ((200, 60), (1000, 300), (4000, 1200)):
     catalog = build_catalog(ZipfLaw(0.0), n, float(n), Exponential(1.0))
     T = characteristic_time(catalog, C).t
-    warm = max(5 * n, int(np.ceil(20 * T * n)))
-    config = SimulationConfig(catalog=catalog, policy=LRU(C),
-                              horizon_events=warm + 60_000, warmup_events=warm,
+    config = SimulationConfig(catalog=catalog, policy=LRU(C), horizon_events=60_000,
                               seed=11, replications=2, tau_stride=2)
     report = replicate(config)
     s = report.tau_samples / T

@@ -212,14 +212,35 @@ def _sim_config(cfg, catalog, seed):
     else:
         raise ConfigError(f"config key cache.policy: unknown policy {policy_name!r}; known: lru, ttl")
     sim = _get(cfg, "sim", dict, {})
-    return simulator.SimulationConfig(
-        catalog=catalog, policy=policy, seed=seed,
-        horizon_events=_get(sim, "events", int, None, "sim"),
-        horizon_time=_get(sim, "time", float, None, "sim"),
-        warmup_events=_get(sim, "warmup_events", int, None, "sim"),
-        warmup_time=_get(sim, "warmup_time", float, None, "sim"),
+    events = _get(sim, "events", int, None, "sim")
+    time = _get(sim, "time", float, None, "sim")
+    warm_ev = _get(sim, "warmup_events", int, None, "sim")
+    warm_t = _get(sim, "warmup_time", float, None, "sim")
+    config = simulator.SimulationConfig(
+        catalog=catalog, policy=policy, seed=seed, horizon_events=events, horizon_time=time,
         replications=_get(sim, "replications", int, 1, "sim"),
         tau_stride=_get(sim, "tau_stride", int, 0, "sim"))
+    # sim.events / sim.time include a warmup; the streams start stationary,
+    # so it is not simulated but subtracted from the measured horizon
+    if warm_ev is None and warm_t is None:  # 20 reference timers and at least 5n events
+        if isinstance(policy, simulator.TTL):
+            t_ref = policy.timer
+        elif policy.capacity >= catalog.n:
+            t_ref = 0.0  # the cache never evicts: there is no characteristic time
+        else:
+            t_ref = approx.characteristic_time(catalog, float(policy.capacity)).t
+        warm_ev, warm_t = 5 * catalog.n, 20.0 * t_ref
+    warm_ev, warm_t, rate = warm_ev or 0, warm_t or 0.0, catalog.total_rate
+    if time is None:
+        # the clamp keeps a huge warmup time's request count finite
+        events -= max(warm_ev, math.ceil(min(rate * warm_t, events)))
+        if events < 1:
+            raise ConfigError("config key sim.events: the warmup leaves no request to measure")
+        return dataclasses.replace(config, horizon_events=events)
+    time -= max(warm_t, warm_ev / rate)
+    if not time > 0:
+        raise ConfigError("config key sim.time: the warmup leaves no time to measure")
+    return dataclasses.replace(config, horizon_time=time)
 
 
 def _cmd_simulate(args):

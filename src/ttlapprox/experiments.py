@@ -100,10 +100,8 @@ def _row_config(spec: SweepSpec, n: int):
     catalog = build_catalog(spec.law, n, total_rate, spec.family_assignment)
     ct = approx.characteristic_time(catalog, float(C))
     ttl = approx.ttl_hit(catalog, ct.t)
-    warm = max(5 * n, int(math.ceil(20.0 * ct.t * catalog.total_rate)))
     config = simulator.SimulationConfig(
-        catalog=catalog, policy=simulator.LRU(C),
-        horizon_events=warm + spec.events_per_point, warmup_events=warm,
+        catalog=catalog, policy=simulator.LRU(C), horizon_events=spec.events_per_point,
         seed=spec.seed, replications=spec.replications)
     return ct, ttl, config
 

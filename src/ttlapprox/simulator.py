@@ -6,10 +6,9 @@ residual R (the first request is at R) and its age A (the latest request
 is at -A) from their joint law, and subsequent gaps are i.i.d.
 inter-request draws.  The LRU cache starts as the C contents with the
 latest requests before 0, which is its stationary state, so every
-request from 0 on is measured and no warmup is simulated; a configured
-warmup only shortens the measured horizon.  Hit/miss indicators are
-recorded at request epochs, which matches the request-average definition
-of hit probability.
+request from 0 on is measured and there is no warmup.  Hit/miss
+indicators are recorded at request epochs, which matches the
+request-average definition of hit probability.
 
 One request stream, which knows nothing of the policy, feeds both
 policies.  It cuts time into windows of about 2**14 expected requests
@@ -47,9 +46,6 @@ reproducible bit for bit from (config, seed).
 
 from __future__ import annotations
 
-import contextlib
-import functools
-import math
 import multiprocessing
 import os
 from array import array
@@ -94,13 +90,10 @@ class TTL:
 class SimulationConfig:
     """One simulation experiment.
 
-    Exactly one of ``horizon_events`` (events, warmup included) or
-    ``horizon_time`` (virtual time, warmup included) must be set.  Warmup
-    may be given in events and/or time; with neither, the default rule
-    (``warmup``) is 20 reference timers (the solved characteristic time
-    for LRU, the timer itself for TTL) and at least 5n events.  The
-    streams start exactly stationary, so the warmup is not simulated: it
-    only sets how much is measured, from t = 0 on (see ``_requests``).
+    Exactly one of ``horizon_events`` (the number of measured requests)
+    or ``horizon_time`` (the measured span of virtual time) must be set.
+    The streams start exactly stationary, so every request from t = 0 on
+    is measured and there is no warmup.
 
     ``tau_stride`` > 0 samples the reuse-window width at every stride-th
     measured request (LRU only).  ``check_invariants`` checks the LRU
@@ -112,8 +105,6 @@ class SimulationConfig:
     policy: object
     horizon_events: int | None = None
     horizon_time: float | None = None
-    warmup_events: int | None = None
-    warmup_time: float | None = None
     seed: int = 0
     replications: int = 1
     tau_stride: int = 0
@@ -134,31 +125,12 @@ class SimulationConfig:
             raise ConfigError("horizon_events must be >= 1")
         if self.horizon_time is not None and self.horizon_time <= 0:
             raise ConfigError("horizon_time must be positive")
-        for warm, horizon in ((self.warmup_events, self.horizon_events),
-                              (self.warmup_time, self.horizon_time)):
-            if warm is not None and horizon is not None and warm >= horizon:
-                raise ConfigError("horizon must exceed warmup")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if self.tau_stride < 0:
             raise ConfigError("tau_stride must be >= 0")
         if self.tau_stride and not isinstance(self.policy, LRU):
             raise ConfigError("reuse-window sampling requires the LRU policy")
-
-    @functools.cached_property
-    def warmup(self) -> tuple[int, float]:
-        """(warmup_events, warmup_time), the default rule solved once per
-        config; (0, 0.0) measures the whole horizon."""
-        if self.warmup_events is not None or self.warmup_time is not None:
-            return self.warmup_events or 0, self.warmup_time or 0.0
-        if isinstance(self.policy, TTL):
-            t_ref = self.policy.timer
-        elif self.policy.capacity >= self.catalog.n:
-            t_ref = 0.0  # the cache never evicts: there is no characteristic time
-        else:
-            from .approx import characteristic_time
-            t_ref = characteristic_time(self.catalog, float(self.policy.capacity)).t
-        return 5 * self.catalog.n, 20.0 * t_ref
 
 
 @dataclass(frozen=True)
@@ -284,31 +256,19 @@ def _requests(config: SimulationConfig, replication: int):
     """The measured requests of one replication, whatever the policy.
 
     Yields first each content's latest request time at or before 0, then
-    each window's measured (times, ids, prev) in ``_merged`` order.  The
-    streams are stationary from t = 0 on, so no warmup is drawn: a run
-    measures the first horizon_events - max(warmup_events,
-    ceil(total_rate * warmup_time)) requests, or those before
-    horizon_time - max(warmup_time, warmup_events / total_rate) (nothing
-    if that is not positive).  The event horizon cuts at a count over a
-    window's unsorted draws, equal to a position in that order.  A window
-    expects 2**14 requests, or the run's expected number if that is
-    smaller.
+    each window's measured (times, ids, prev) in ``_merged`` order: the
+    first horizon_events requests from t = 0 on, or those before
+    horizon_time.  The event horizon cuts at a count over a window's
+    unsorted draws, equal to a position in that order.  A window expects
+    2**14 requests, or the run's expected number if that is smaller.
     """
     catalog = config.catalog
     nxt, last, rng = init_stationary(catalog, config.seed, replication)
     yield last.copy()
-    rate = catalog.total_rate
-    warm_ev, warm_t = config.warmup
-    if config.horizon_time is None:
-        # the clamp keeps a huge warmup time's request count finite
-        events = config.horizon_events - max(
-            warm_ev, math.ceil(min(rate * warm_t, config.horizon_events)))
-        length = events / rate  # the run's expected length in time
-    else:
-        length = config.horizon_time - max(warm_t, warm_ev / rate)
-    if not length > 0:
-        return
-    width = min(_WINDOW_EVENTS / rate, length)
+    events, length = config.horizon_events, config.horizon_time
+    if length is None:
+        length = events / catalog.total_rate  # the run's expected length in time
+    width = min(_WINDOW_EVENTS / catalog.total_rate, length)
     done, window, final = 0, 0, False
     while not final:
         window += 1
@@ -481,12 +441,12 @@ def _replicate_all(configs, workers: int | None = None) -> list:
     The replications of all configs run in the calling process and, when
     workers > 1, in a pool of workers - 1 processes made for the call
     (see ``_take``); each config's results are merged in replication
-    order, so the reports do not depend on the workers.
+    order, so the reports do not depend on the workers.  Jobs are taken
+    longest first by their expected draws: the measured requests and the
+    n straddle draws of the stationary start.
     """
-    for c in configs:  # solve each default warmup once, before the pool forks
-        with contextlib.suppress(ConfigError, NumericsError):
-            c.warmup  # a failed solve fails each replication of its config alone
-    cost = [c.horizon_events or c.horizon_time * c.catalog.total_rate for c in configs]
+    cost = [(c.horizon_events or c.horizon_time * c.catalog.total_rate) + c.catalog.n
+            for c in configs]
     keys = sorted(((i, rep) for i, c in enumerate(configs) for rep in range(c.replications)),
                   key=lambda key: -cost[key[0]])
     jobs = [(configs[i], rep) for i, rep in keys]

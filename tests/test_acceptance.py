@@ -52,10 +52,7 @@ def sweep_rows():
 
 def _simulate_fagin(model, n, C, seed, replications=6, events=1_000_000):
     catalog = fagin_catalog(model, n, float(n))
-    T = characteristic_time(catalog, float(C)).t
-    warm = max(5 * n, int(math.ceil(20.0 * T * catalog.total_rate)))
-    config = SimulationConfig(catalog=catalog, policy=LRU(C),
-                              horizon_events=warm + events, warmup_events=warm,
+    config = SimulationConfig(catalog=catalog, policy=LRU(C), horizon_events=events,
                               seed=seed, replications=replications)
     return replicate(config)
 
@@ -87,8 +84,7 @@ def test_02_lru_simulation_vs_recency_chain():
     catalog = ContentCatalog(rates=p * 11.0, classes=(Exponential(1.0),),
                              class_of=np.zeros(3, dtype=np.int64))
     config = SimulationConfig(catalog=catalog, policy=LRU(2),
-                              horizon_events=10_050_000, warmup_events=50_000,
-                              seed=MASTER_SEED)
+                              horizon_events=10_000_000, seed=MASTER_SEED)
     report = run(config)
     se = np.sqrt(exact * (1 - exact) / report.requests)
     z = (report.hit_ratio - exact) / se
@@ -338,9 +334,7 @@ def test_09_reuse_window_concentration():
     replications, events, batches = 4, 150_000, 40
     catalog = build_catalog(ZipfLaw(0.0), n, float(n), Exponential(1.0))
     T = characteristic_time(catalog, float(C)).t
-    warm = max(5 * n, int(math.ceil(20.0 * T * n)))
-    config = SimulationConfig(catalog=catalog, policy=LRU(C),
-                              horizon_events=warm + events, warmup_events=warm,
+    config = SimulationConfig(catalog=catalog, policy=LRU(C), horizon_events=events,
                               seed=MASTER_SEED, replications=replications, tau_stride=1)
     report = replicate(config)
     tau = report.tau_samples
@@ -404,13 +398,13 @@ def test_10_property_suites():
     vals = [beta_fn(ZIPF_LIMIT_MODEL, v) for v in np.geomspace(0.01, 100.0, 30)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     # seed determinism
-    cfg = SimulationConfig(catalog=catalog, policy=LRU(60), horizon_events=50_000,
-                           warmup_events=5_000, seed=MASTER_SEED)
+    cfg = SimulationConfig(catalog=catalog, policy=LRU(60), horizon_events=45_000,
+                           seed=MASTER_SEED)
     r1, r2 = run(cfg), run(cfg)
     assert np.array_equal(r1.hits, r2.hits) and np.array_equal(r1.requests, r2.requests)
     # LRU capacity invariant (asserted every event)
-    cfg_inv = SimulationConfig(catalog=catalog, policy=LRU(60), horizon_events=30_000,
-                               warmup_events=1_000, seed=1, check_invariants=True)
+    cfg_inv = SimulationConfig(catalog=catalog, policy=LRU(60), horizon_events=29_000,
+                               seed=1, check_invariants=True)
     run(cfg_inv)
     _line(10, "property suites", True,
           "cdf axioms, age derivative, concavity, beta monotonicity, "

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttlapprox import cli
+from ttlapprox import cli, simulator
 from ttlapprox.approx import expected_occupancy
 from ttlapprox.asymptotics import AsymptoticModel, ModelClass, hit_limit, solve_nu0
 from ttlapprox.densities import PowerLawDensity
@@ -121,6 +121,89 @@ class TestSimulate:
         times = [float(r["time"]) for r in rows]
         assert times == sorted(times)
         assert set(r["hit"] for r in rows) <= {"0", "1"}
+
+
+def _simulate(tmp_path, capsys, threads="1", **extra):
+    """The exit code and JSON payload (None on failure) of CLI simulate."""
+    rc = cli.main(["--config", write_config(tmp_path, extra), "--threads", threads, "simulate"])
+    out = capsys.readouterr().out
+    return rc, json.loads(out) if rc == 0 else None
+
+
+class TestWarmup:
+    """sim.events and sim.time include a warmup, which the CLI subtracts:
+    it runs the library's measured horizon H - W, or h - w in time."""
+
+    CATALOG = build_catalog(ZipfLaw(0.8), 60, 60.0, Exponential(1.0))
+
+    # (cache, sim, the library's measured horizon); total rate 60, n = 60
+    CASES = [
+        ({"policy": "ttl", "timer": 1.0}, {"events": 40000},  # default: 20 timers > 5n
+         {"horizon_events": 40000 - 1200}),
+        ({"policy": "lru", "capacity": 60}, {"events": 40000},  # C = n: no timer, 5n events
+         {"horizon_events": 40000 - 300}),
+        ({"policy": "lru", "capacity": 18}, {"events": 40000, "warmup_time": 10.0},
+         {"horizon_events": 40000 - 600}),
+        ({"policy": "lru", "capacity": 18},
+         {"events": 40000, "warmup_events": 1000, "warmup_time": 10.0},
+         {"horizon_events": 40000 - 1000}),
+        ({"policy": "lru", "capacity": 18}, {"time": 100.0, "warmup_events": 600},
+         {"horizon_time": 100.0 - 10.0}),
+        ({"policy": "ttl", "timer": 1.0}, {"time": 100.0, "warmup_time": 10.0},
+         {"horizon_time": 100.0 - 10.0}),
+    ]
+
+    @pytest.mark.parametrize("cache, sim, measured", CASES, ids=[
+        "ttl-default", "lru-C=n-default", "events-warmup_time", "events-both-warmups",
+        "time-warmup_events", "time-warmup_time"])
+    def test_the_library_runs_the_measured_horizon(self, tmp_path, capsys, cache, sim, measured):
+        rc, payload = _simulate(tmp_path, capsys, cache=cache, sim=dict(sim, replications=2))
+        assert rc == 0
+        policy = (simulator.TTL(cache["timer"]) if cache["policy"] == "ttl"
+                  else simulator.LRU(cache["capacity"]))
+        report = simulator.replicate(simulator.SimulationConfig(
+            catalog=self.CATALOG, policy=policy, replications=2, **measured), workers=1)
+        if "horizon_events" in measured:
+            assert payload["total_requests"] == 2 * measured["horizon_events"]
+        assert payload["total_requests"] == report.total_requests
+        assert payload["aggregate_hit"] == report.aggregate_hit
+        assert payload["elapsed_virtual_time"] == report.elapsed_time
+
+    def test_the_default_lru_rule_is_solved_once_per_call(self, tmp_path, capsys, monkeypatch):
+        solve, calls = cli.approx.characteristic_time, []
+
+        def once(*args, **kwargs):  # forked workers inherit calls as it is at the fork
+            if calls:
+                raise NumericsError("characteristic time solved twice")
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli.approx, "characteristic_time", once)
+        rc, payload = _simulate(tmp_path, capsys, threads="2",
+                                sim={"events": 40000, "replications": 4})
+        assert rc == 0 and len(calls) == 1
+        T = solve(self.CATALOG, 18.0).t  # 20 T of the total rate 60 against 5n = 300
+        assert payload["total_requests"] == 4 * (40000 - max(300, math.ceil(1200 * T)))
+
+    # (config edits, the horizon key the error names)
+    CONSUMED = [
+        ({"n": 200, "total_rate": 200.0, "cache": {"policy": "lru", "capacity": 60},
+          "sim": {"events": 900}}, "sim.events"),  # the default 5n = 1000 events
+        ({"cache": {"policy": "ttl", "timer": 1.0},
+          "sim": {"events": 5000, "warmup_time": 1e9}}, "sim.events"),
+        ({"sim": {"events": 5000, "warmup_events": 5000}}, "sim.events"),
+        ({"sim": {"events": 60000, "warmup_time": 1e308}}, "sim.events"),  # overflows a float
+        ({"sim": {"time": 1.0, "warmup_time": 1.0}}, "sim.time"),
+        ({"sim": {"time": 1.0, "warmup_events": 60}}, "sim.time"),
+    ]
+
+    @pytest.mark.parametrize("edits, named", CONSUMED,
+                             ids=[json.dumps(e["sim"]) for e, _ in CONSUMED])
+    def test_a_warmup_that_consumes_the_horizon_is_2(self, tmp_path, capsys, edits, named):
+        path = write_config(tmp_path, edits)
+        assert cli.main(["--config", path, "--threads", "1", "simulate"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"config key {named}: " in err
 
 
 class TestLimit:
@@ -252,6 +335,8 @@ class TestExitCodes:
         (["simulate"], "cache.policy", "fifo", "cache.policy"),
         (["simulate"], "sim.replications", 1.5, "sim.replications"),
         (["simulate"], "sim.events", "x", "sim.events"),
+        (["simulate"], "sim", {"events": 200}, "sim.events"),  # the default warmup is 5n = 300
+        (["simulate"], "sim.warmup_time", 1e9, "sim.events"),
         (["simulate"], "seed", "x", "seed"),
         (["limit"], "limit.classes", 5, "limit.classes"),
         (["limit"], "limit.classes.0.density.power.alpha", _DROP,

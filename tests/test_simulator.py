@@ -1,9 +1,10 @@
-import dataclasses
+import ast
 import math
 import multiprocessing
 import sys
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +15,10 @@ from scipy import stats
 from ttlapprox.approx import characteristic_time, ttl_hit
 from ttlapprox.distributions import (Exponential, Gamma, Hyperexponential,
                                      InterRequestDistribution, ParetoLomax, Weibull)
-from ttlapprox import approx, simulator
-from ttlapprox.errors import ConfigError, NumericsError
+from ttlapprox import simulator
+from ttlapprox.errors import ConfigError
 from ttlapprox.popularity import ContentCatalog, ZipfLaw, build_catalog
-from ttlapprox.simulator import (_WINDOW_EVENTS, LRU, TTL, SimulationConfig, _Lru, _merged,
+from ttlapprox.simulator import (_WINDOW_EVENTS, LRU, TTL, SimulationConfig, _merged,
                                  _window_draws, init_stationary, replicate, run)
 
 from oracles import (lru_irm_markov, lru_irm_product_form, ordered_dict_lru,
@@ -89,11 +90,6 @@ class TestConfigValidation:
             SimulationConfig(catalog=THREE, policy=LRU(2), horizon_events=10,
                              horizon_time=1.0)
 
-    def test_horizon_exceeds_warmup(self):
-        with pytest.raises(ConfigError, match="horizon must exceed warmup"):
-            SimulationConfig(catalog=THREE, policy=LRU(2), horizon_events=10,
-                             warmup_events=10)
-
     def test_capacity_bounds(self):
         with pytest.raises(ConfigError):
             SimulationConfig(catalog=THREE, policy=LRU(4), horizon_events=10)
@@ -133,8 +129,7 @@ class TestStationaryInit:
             assert abs((-last <= t).mean() - d.age_cdf(t)) < 0.005
 
     def test_bitwise_determinism(self):
-        cfg = SimulationConfig(catalog=THREE, policy=LRU(2), horizon_events=30_000,
-                               warmup_events=1_000, seed=123)
+        cfg = SimulationConfig(catalog=THREE, policy=LRU(2), horizon_events=29_000, seed=123)
         a = run(cfg)
         b = run(cfg)
         assert np.array_equal(a.requests, b.requests)
@@ -173,7 +168,7 @@ class TestExactStart:
         p = np.arange(1, 8) ** -0.8
         p /= p.sum()
         cfg = SimulationConfig(catalog=exp_catalog(7.0 * p), policy=LRU(3), horizon_events=40,
-                               warmup_events=0, seed=61)
+                               seed=61)
         z, z_agg = per_run_z(cfg, 4000, lru_irm_product_form(p, 3))
         z_star = bonferroni_z(p.size + 1)
         assert np.all(np.abs(z) < z_star) and abs(z_agg) < z_star
@@ -185,8 +180,7 @@ class TestExactStart:
         cat = build_catalog(ZipfLaw(0.8), 200, 200.0,
                             [(0.5, Gamma(0.5, 1.0)), (0.5, Weibull(0.7, 1.0))])
         T = characteristic_time(cat, 60.0).t
-        cfg = SimulationConfig(catalog=cat, policy=TTL(T), horizon_time=1.5, warmup_events=0,
-                               seed=62)
+        cfg = SimulationConfig(catalog=cat, policy=TTL(T), horizon_time=1.5, seed=62)
         z, z_agg = per_run_z(cfg, 3000, ttl_hit(cat, T).per_content)
         z_star = bonferroni_z(cat.n + 1)
         assert np.all(np.abs(z) < z_star) and abs(z_agg) < z_star
@@ -199,8 +193,8 @@ class TestExactStart:
         rep, _, _ = check_against_ordered_dict_loop(
             TIED, C, stride, seed=0, horizon={"horizon_events": 4 * _WINDOW_EVENTS})
         assert rep.total_requests == 4 * _WINDOW_EVENTS
-        top = np.sort(start_of(SimulationConfig(catalog=TIED, policy=LRU(C), horizon_events=1,
-                                                warmup_events=0)))[::-1]
+        top = np.sort(start_of(SimulationConfig(catalog=TIED, policy=LRU(C),
+                                                horizon_events=1)))[::-1]
         assert top[C - 1] == top[C]
 
     @pytest.mark.parametrize("C", [29, 30])
@@ -219,8 +213,7 @@ class TestExactStart:
 class TestRun:
     def test_single_content_always_hits_after_first(self):
         cat = exp_catalog([1.0])
-        cfg = SimulationConfig(catalog=cat, policy=LRU(1), horizon_events=2_000,
-                               warmup_events=10, seed=5)
+        cfg = SimulationConfig(catalog=cat, policy=LRU(1), horizon_events=1_990, seed=5)
         rep = run(cfg)
         assert rep.aggregate_hit == 1.0
 
@@ -229,7 +222,7 @@ class TestRun:
         exact = lru_irm_markov(p, 2)
         assert np.allclose(exact, lru_irm_product_form(p, 2), atol=1e-12)
         cfg = SimulationConfig(catalog=THREE, policy=LRU(2),
-                               horizon_events=1_020_000, warmup_events=20_000, seed=42)
+                               horizon_events=1_000_000, seed=42)
         rep = run(cfg)
         se = np.sqrt(exact * (1 - exact) / rep.requests)
         assert np.all(np.abs(rep.hit_ratio - exact) < 4 * se)
@@ -237,15 +230,13 @@ class TestRun:
     def test_ttl_at_characteristic_time(self):
         cat = build_catalog(ZipfLaw(0.0), 100, 100.0, Exponential(1.0))
         T = characteristic_time(cat, 50.0).t
-        cfg = SimulationConfig(catalog=cat, policy=TTL(T), horizon_events=405_000,
-                               warmup_events=5_000, seed=7)
+        cfg = SimulationConfig(catalog=cat, policy=TTL(T), horizon_events=400_000, seed=7)
         rep = run(cfg)
         se = math.sqrt(0.25 / rep.total_requests)
         assert abs(rep.aggregate_hit - 0.5) < 4 * se
 
     def test_aggregate_identity(self):
-        cfg = SimulationConfig(catalog=THREE, policy=LRU(2), horizon_events=50_000,
-                               warmup_events=1_000, seed=9)
+        cfg = SimulationConfig(catalog=THREE, policy=LRU(2), horizon_events=49_000, seed=9)
         rep = run(cfg)
         weighted = np.sum(rep.requests * rep.hit_ratio) / rep.requests.sum()
         assert rep.aggregate_hit == pytest.approx(weighted, abs=1e-15)
@@ -253,8 +244,7 @@ class TestRun:
 
     def test_per_content_rates_match_intensities(self):
         cat = exp_catalog([4.0, 2.0, 1.0, 0.5])
-        cfg = SimulationConfig(catalog=cat, policy=LRU(2), horizon_events=160_000,
-                               warmup_events=10_000, seed=11)
+        cfg = SimulationConfig(catalog=cat, policy=LRU(2), horizon_events=150_000, seed=11)
         rep = run(cfg)
         est = rep.requests / rep.elapsed_time
         se = np.sqrt(cat.rates / rep.elapsed_time)  # renewal count variance ~ rate*t for poisson
@@ -262,8 +252,7 @@ class TestRun:
 
     def test_empirical_gap_means(self):
         cat = exp_catalog([2.0, 1.0])
-        cfg = SimulationConfig(catalog=cat, policy=LRU(1), horizon_events=200_000,
-                               warmup_events=1_000, seed=13)
+        cfg = SimulationConfig(catalog=cat, policy=LRU(1), horizon_events=199_000, seed=13)
         rep = run(cfg)
         measured_rate = rep.requests / rep.elapsed_time
         for i, lam in enumerate(cat.rates):
@@ -271,20 +260,20 @@ class TestRun:
             assert abs(measured_rate[i] - lam) < 4 * se
 
     def test_capacity_invariant_checked(self):
-        cfg = SimulationConfig(catalog=THREE, policy=LRU(2), horizon_events=20_000,
-                               warmup_events=100, seed=3, check_invariants=True)
+        cfg = SimulationConfig(catalog=THREE, policy=LRU(2), horizon_events=19_900,
+                               seed=3, check_invariants=True)
         rep = run(cfg)  # assertion inside the loop would fail on violation
         assert rep.total_requests == 19_900
 
 
 class TestRecencySemantics:
-    # every request is measured (warmup 0), so the trace is the whole path
+    # every request is measured, so the trace is the whole path
     # from 0 and spans several windows of the engine; replays start from
     # each content's latest request before 0
 
     def test_measure_tau_example(self):
         cfg = SimulationConfig(catalog=RENEWAL, policy=LRU(2), horizon_events=40_000,
-                               warmup_events=0, seed=3, tau_stride=1)
+                               seed=3, tau_stride=1)
         rep, times, ids, _ = traced(cfg)
         _, taus = brute_force_lru(ids, times, 2, start_of(cfg))
         assert times[-1] > 2 * _WINDOW_EVENTS / RENEWAL.total_rate
@@ -293,30 +282,29 @@ class TestRecencySemantics:
     def test_measure_tau_capacity_one(self):
         # with C = 1 the window is the time since the previous request
         cfg = SimulationConfig(catalog=RENEWAL, policy=LRU(1), horizon_events=40_000,
-                               warmup_events=0, seed=4, tau_stride=1)
+                               seed=4, tau_stride=1)
         rep, times, _, _ = traced(cfg)
         assert np.array_equal(rep.tau_samples, np.diff(times, prepend=start_of(cfg).max()))
 
     def test_measure_tau_from_the_start(self):
         # the cache is full from the start, so the window is sampled before
-        # every measured request; with warmup and stride 5 the samples are
-        # every fifth request of the same, shorter path, counted across
-        # windows
+        # every measured request; with stride 5 the samples are every fifth
+        # request of the same, shorter path, counted across windows
         full = SimulationConfig(catalog=RENEWAL, policy=LRU(12), horizon_events=40_000,
-                                warmup_events=0, seed=5, tau_stride=1)
+                                seed=5, tau_stride=1)
         rep, times, ids, _ = traced(full)
         _, taus = brute_force_lru(ids, times, 12, start_of(full))
         assert rep.tau_samples.size == rep.total_requests
         assert np.array_equal(rep.tau_samples, taus)
         strided = SimulationConfig(catalog=RENEWAL, policy=LRU(12),
-                                   horizon_events=40_000, warmup_events=7_001, seed=5,
+                                   horizon_events=32_999, seed=5,
                                    tau_stride=5)
         assert np.array_equal(run(strided).tau_samples, taus[:40_000 - 7_001:5])
 
     def test_lru_hit_iff_among_c_most_recent(self):
         for C in (1, 5, 11):
             cfg = SimulationConfig(catalog=RENEWAL, policy=LRU(C), horizon_events=40_000,
-                                   warmup_events=0, seed=17, check_invariants=True)
+                                   seed=17, check_invariants=True)
             rep, times, ids, hits = traced(cfg)
             assert rep.total_requests == times.size == 40_000
             assert np.all(np.diff(times) >= 0)
@@ -324,8 +312,7 @@ class TestRecencySemantics:
 
     def test_ttl_hit_iff_previous_request_within_timer(self):
         T = 1.3
-        cfg = SimulationConfig(catalog=RENEWAL, policy=TTL(T), horizon_events=40_000,
-                               warmup_events=0, seed=18)
+        cfg = SimulationConfig(catalog=RENEWAL, policy=TTL(T), horizon_events=40_000, seed=18)
         _, times, ids, hits = traced(cfg)
         assert np.all(np.diff(times) >= 0)
         last = dict(enumerate(start_of(cfg).tolist()))
@@ -338,7 +325,7 @@ class TestRecencySemantics:
     def test_ttl_hit_monotone_in_timer(self):
         # the request path depends on the seed only, so both timers see it
         short, long = (SimulationConfig(catalog=RENEWAL, policy=TTL(T),
-                                        horizon_events=20_000, warmup_events=0, seed=19)
+                                        horizon_events=20_000, seed=19)
                        for T in (0.5, 1.5))
         _, t1, i1, h1 = traced(short)
         _, t2, i2, h2 = traced(long)
@@ -359,17 +346,16 @@ TIED = ContentCatalog(rates=np.tile([1.0, 2.0, 4.0, 0.5], 16), classes=(Constant
                       class_of=np.zeros(64, dtype=np.int64))
 
 
-def check_against_ordered_dict_loop(catalog, C, stride, seed, horizon,
-                                    warmup={"warmup_events": 0}):
+def check_against_ordered_dict_loop(catalog, C, stride, seed, horizon):
     """Run LRU(C) with ``check_invariants`` and compare hits, requests,
     tau_samples and elapsed_time bitwise with ``ordered_dict_lru`` replayed
     over the same sample path from the same start; path and start depend
-    on the seed and the measured horizon alone.  Returns the report and
+    on the seed and the horizon alone.  Returns the report and
     the path's times and contents."""
-    path = SimulationConfig(catalog=catalog, policy=TTL(1.0), seed=seed, **warmup, **horizon)
+    path = SimulationConfig(catalog=catalog, policy=TTL(1.0), seed=seed, **horizon)
     _, times, ids, _ = traced(path)
     rep = run(SimulationConfig(catalog=catalog, policy=LRU(C), seed=seed, tau_stride=stride,
-                               check_invariants=True, **warmup, **horizon))
+                               check_invariants=True, **horizon))
     hit, taus = ordered_dict_lru(ids, times, C, start_of(path), stride=stride)
     assert np.array_equal(rep.requests, np.bincount(ids, minlength=catalog.n))
     assert np.array_equal(rep.hits, np.bincount(ids[hit], minlength=catalog.n))
@@ -385,22 +371,15 @@ class TestPointerScan:
     @pytest.mark.parametrize("C", [1, 600, 1999, 2000])
     def test_bitwise_equal_to_ordered_dict_loop(self, C):
         width = _WINDOW_EVENTS / ZIPF_RENEWAL.total_rate
-        cases = [({"horizon_events": 60_000}, stride) for stride in (0, 1, 7, 16)]
-        cases.append(({"horizon_time": 2.5 * width}, 7))
+        cases = [({"horizon_events": 40_000}, stride) for stride in (0, 1, 7, 16)]
+        cases.append(({"horizon_time": 2.5 * width - 20_000 / ZIPF_RENEWAL.total_rate}, 7))
         for horizon, stride in cases:
-            # the warmup shortens the measured path, which spans two windows
+            # the measured path spans two windows
             rep, times, _ = check_against_ordered_dict_loop(
-                ZIPF_RENEWAL, C, stride, seed=37, horizon=horizon,
-                warmup={"warmup_events": 20_000})
+                ZIPF_RENEWAL, C, stride, seed=37, horizon=horizon)
             assert times[0] < width < times[-1]
             if stride:  # the cache is full from the start
                 assert rep.tau_samples.size > 0
-
-
-def assert_same_run(a, b):
-    assert np.array_equal(a.requests, b.requests) and np.array_equal(a.hits, b.hits)
-    assert a.tau_samples.tobytes() == b.tau_samples.tobytes()
-    assert a.elapsed_time == b.elapsed_time
 
 
 def counting_law(law, drawn):
@@ -418,67 +397,6 @@ def counting_law(law, drawn):
             return law.sample_straddle_batch(rng, size)
 
     return Counting()
-
-
-class TestWarmupNotDrawn:
-    """The streams start stationary, so a warmup is not simulated: it only
-    shortens the measured horizon, from 0 on."""
-
-    @pytest.mark.parametrize("policy, stride", [(LRU(600), 0), (LRU(600), 7), (LRU(600), 16),
-                                                (TTL(1.0), 0)], ids=str)
-    def test_warmup_run_equals_the_shorter_run(self, policy, stride):
-        width = _WINDOW_EVENTS / ZIPF_RENEWAL.total_rate
-        for warm, horizon, short in (
-                ({"warmup_events": 20_000}, {"horizon_events": 60_000},
-                 {"horizon_events": 40_000}),
-                ({"warmup_time": 0.7 * width}, {"horizon_time": 3.2 * width},
-                 {"horizon_time": 3.2 * width - 0.7 * width})):
-            a, b = (run(SimulationConfig(catalog=ZIPF_RENEWAL, policy=policy, seed=53,
-                                         tau_stride=stride, check_invariants=True, **w, **h))
-                    for w, h in ((warm, horizon), ({"warmup_events": 0}, short)))
-            assert a.total_requests > 2 * _WINDOW_EVENTS
-            assert_same_run(a, b)
-
-    def test_warmup_draws_the_same_gaps(self, monkeypatch):
-        drawn, scanned = [], []
-        scan = _Lru._scan
-
-        def counting_scan(self, ids, misses):
-            scanned.append(len(ids))
-            scan(self, ids, misses)
-
-        monkeypatch.setattr(_Lru, "_scan", counting_scan)
-        law = counting_law(ZIPF_RENEWAL.classes[0], drawn)
-        cat = ContentCatalog(rates=ZIPF_RENEWAL.rates, classes=(law,),
-                             class_of=np.zeros(ZIPF_RENEWAL.n, dtype=np.int64))
-        counts, W, H = [], int(3.5 * _WINDOW_EVENTS), 6 * _WINDOW_EVENTS
-        for warm, horizon in (({"warmup_events": W}, {"horizon_events": H}),
-                              ({"warmup_events": 0}, {"horizon_events": H - W})):
-            drawn.clear()
-            scanned.clear()
-            rep = run(SimulationConfig(catalog=cat, policy=LRU(600), seed=47, **warm, **horizon))
-            assert sum(scanned) == rep.total_requests  # the measured requests alone
-            counts.append(list(drawn))
-        assert counts[0] == counts[1]
-        assert counts[0][0] == ("straddle", cat.n)
-
-    def test_nothing_drawn_when_the_warmup_outlasts_the_horizon(self, monkeypatch):
-        windows = []
-        draws = simulator._window_draws
-        monkeypatch.setattr(simulator, "_window_draws",
-                            lambda *args: windows.append(args[-1]) or draws(*args))
-        width = _WINDOW_EVENTS / ZIPF_RENEWAL.total_rate
-        for C in (1, 600, 2000):
-            rep = run(SimulationConfig(catalog=ZIPF_RENEWAL, policy=LRU(C), seed=9, tau_stride=3,
-                                       warmup_events=10 * _WINDOW_EVENTS,
-                                       horizon_time=3.5 * width))
-            assert rep.total_requests == 0 and rep.elapsed_time == 0.0
-            assert rep.tau_samples.size == 0
-        # a warmup time whose request count overflows a float
-        rep = run(SimulationConfig(catalog=ZIPF_RENEWAL, policy=TTL(1.0), seed=9,
-                                   warmup_time=1e308, horizon_events=60_000))
-        assert rep.total_requests == 0
-        assert windows == []
 
 
 class ShortGap(InterRequestDistribution):
@@ -544,8 +462,7 @@ class TestWindowDraws:
         cat = ContentCatalog(rates=np.linspace(0.5, 1.5, 12),
                              classes=(counting_law(Exponential(1.0), drawn),),
                              class_of=np.zeros(12, dtype=np.int64))
-        rep = run(SimulationConfig(catalog=cat, policy=LRU(4), warmup_events=0, seed=7,
-                                   **horizon))
+        rep = run(SimulationConfig(catalog=cat, policy=LRU(4), seed=7, **horizon))
         gaps = sum(size for sampler, size in drawn if sampler == "inter")
         assert 150 < rep.total_requests and gaps < 1000
 
@@ -586,7 +503,7 @@ class TestWindowMerge:
         assert np.array_equal(times - prev, 1.0 / rates[ids])
         # and across windows, as the engine sees them
         _, times, ids, _ = traced(SimulationConfig(catalog=cat, policy=TTL(1.0),
-                                                   horizon_events=40_000, warmup_events=0))
+                                                   horizon_events=40_000))
         assert np.array_equal(np.lexsort((ids, times)), np.arange(times.size))
 
     def test_gaps_follow_class_law_across_windows(self):
@@ -599,8 +516,7 @@ class TestWindowMerge:
         # horizon is at 75) have probability below 1e-4 in both classes.
         cat = build_catalog(ZipfLaw(0.0), 4096, 4096.0,
                             [(0.5, Gamma(0.5, 1.0)), (0.5, Weibull(0.7, 1.0))])
-        cfg = SimulationConfig(catalog=cat, policy=TTL(1.0), horizon_time=75.0,
-                               warmup_events=0, seed=21)
+        cfg = SimulationConfig(catalog=cat, policy=TTL(1.0), horizon_time=75.0, seed=21)
         _, times, ids, _ = traced(cfg)
         order = np.lexsort((times, ids))
         t, i = times[order], ids[order]
@@ -615,11 +531,10 @@ class TestWindowMerge:
             assert stats.kstest(u, "uniform").pvalue > 1e-3
 
     def test_horizon_time_cuts_the_same_path(self):
-        # the warmup shortens both runs' measured spans from 0 on
         width = _WINDOW_EVENTS / THREE.total_rate
         horizon = 2.6 * width
-        short, long = (SimulationConfig(catalog=THREE, policy=LRU(2), horizon_time=h,
-                                        warmup_time=0.3 * width, seed=23)
+        short, long = (SimulationConfig(catalog=THREE, policy=LRU(2),
+                                        horizon_time=h - 0.3 * width, seed=23)
                        for h in (horizon, 4.0 * width))
         rep, t1, i1, h1 = traced(short)
         _, t2, i2, h2 = traced(long)
@@ -638,8 +553,8 @@ class TestTauSampling:
         from ttlapprox.approx import concentration_curve
         cat = build_catalog(ZipfLaw(0.0), 100, 100.0, Exponential(1.0))
         Tn = characteristic_time(cat, 50.0).t
-        cfg = SimulationConfig(catalog=cat, policy=LRU(50), horizon_events=210_000,
-                               warmup_events=5_000, seed=29, tau_stride=2)
+        cfg = SimulationConfig(catalog=cat, policy=LRU(50), horizon_events=205_000,
+                               seed=29, tau_stride=2)
         rep = run(cfg)
         assert rep.tau_samples.size >= 100_000
         freq = float(np.mean(rep.tau_samples > 1.2 * Tn))
@@ -651,8 +566,8 @@ class TestTauSampling:
     def test_tau_concentrates_near_characteristic_time(self):
         cat = build_catalog(ZipfLaw(0.0), 200, 200.0, Exponential(1.0))
         Tn = characteristic_time(cat, 100.0).t
-        cfg = SimulationConfig(catalog=cat, policy=LRU(100), horizon_events=120_000,
-                               warmup_events=2_000, seed=23, tau_stride=4)
+        cfg = SimulationConfig(catalog=cat, policy=LRU(100), horizon_events=118_000,
+                               seed=23, tau_stride=4)
         rep = run(cfg)
         assert rep.tau_samples.size > 20_000
         assert float(np.quantile(rep.tau_samples, 0.5)) == pytest.approx(Tn, rel=0.05)
@@ -670,13 +585,13 @@ SMALL_LAWS = [Exponential(1.0), Gamma(0.5, 1.0), Weibull(0.7, 1.0),
 @st.composite
 def small_configs(draw, replications=1):
     """An LRU (capacity 1 to n) or TTL run on a Zipf catalog of 2 to 40
-    contents, 2000 events of which 200 are warmup, so 1800 are measured."""
+    contents, 1800 measured events."""
     n = draw(st.integers(2, 40))
     cat = build_catalog(ZipfLaw(draw(st.floats(0.0, 2.0))), n, float(n),
                         draw(st.sampled_from(SMALL_LAWS)))
     policy = draw(st.one_of(st.builds(LRU, st.integers(1, n)),
                             st.builds(TTL, st.floats(0.01, 10.0))))
-    return SimulationConfig(catalog=cat, policy=policy, horizon_events=2000, warmup_events=200,
+    return SimulationConfig(catalog=cat, policy=policy, horizon_events=1800,
                             seed=draw(st.integers(0, 2**32 - 1)), replications=replications,
                             check_invariants=isinstance(policy, LRU))
 
@@ -708,8 +623,8 @@ class TestProperties:
 
 class TestReplicate:
     def test_same_master_seed_reproduces(self):
-        cfg = SimulationConfig(catalog=THREE, policy=LRU(2), horizon_events=40_000,
-                               warmup_events=2_000, seed=77, replications=3)
+        cfg = SimulationConfig(catalog=THREE, policy=LRU(2), horizon_events=38_000,
+                               seed=77, replications=3)
         a = replicate(cfg, workers=1)
         b = replicate(cfg, workers=2)
         assert np.array_equal(a.hits, b.hits)
@@ -719,8 +634,8 @@ class TestReplicate:
     def test_renewal_tau_report_independent_of_workers(self):
         cat = build_catalog(ZipfLaw(0.8), 60, 60.0,
                             [(0.5, Gamma(0.5, 1.0)), (0.5, Weibull(0.7, 1.0))])
-        cfg = SimulationConfig(catalog=cat, policy=LRU(20), horizon_events=20_000,
-                               warmup_events=2_000, seed=5, replications=3, tau_stride=7)
+        cfg = SimulationConfig(catalog=cat, policy=LRU(20), horizon_events=18_000,
+                               seed=5, replications=3, tau_stride=7)
         a = replicate(cfg, workers=1)
         b = replicate(cfg, workers=2)
         assert a.tau_samples.size > 0
@@ -731,8 +646,8 @@ class TestReplicate:
     def test_stderr_of_rarely_requested_contents_warns_nothing(self):
         # with 2 replications many tail contents have < 2 finite hit ratios
         cat = build_catalog(ZipfLaw(0.8), 400, 400.0, Exponential(1.0))
-        cfg = SimulationConfig(catalog=cat, policy=LRU(60), horizon_events=3_000,
-                               warmup_events=500, seed=8, replications=2)
+        cfg = SimulationConfig(catalog=cat, policy=LRU(60), horizon_events=2_500,
+                               seed=8, replications=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = replicate(cfg, workers=1)
@@ -741,8 +656,8 @@ class TestReplicate:
         assert np.all(no_stderr[rep.requests == 0])
 
     def test_replications_differ(self):
-        cfg = SimulationConfig(catalog=THREE, policy=LRU(2), horizon_events=30_000,
-                               warmup_events=1_000, seed=77, replications=2)
+        cfg = SimulationConfig(catalog=THREE, policy=LRU(2), horizon_events=29_000,
+                               seed=77, replications=2)
         rep = replicate(cfg, workers=1)
         assert rep.per_replication_aggregate[0] != rep.per_replication_aggregate[1]
 
@@ -750,8 +665,8 @@ class TestReplicate:
         # split a fixed pool of 64 per-replication aggregates into disjoint
         # groups: the group-mean standard error should scale ~ 1/sqrt(R)
         cat = build_catalog(ZipfLaw(0.0), 50, 50.0, Exponential(1.0))
-        cfg = SimulationConfig(catalog=cat, policy=LRU(25), horizon_events=13_000,
-                               warmup_events=1_000, seed=31, replications=64)
+        cfg = SimulationConfig(catalog=cat, policy=LRU(25), horizon_events=12_000,
+                               seed=31, replications=64)
         rep = replicate(cfg, workers=2)
         a = rep.per_replication_aggregate
         sd = a.std(ddof=1)
@@ -766,11 +681,24 @@ class TestReplicate:
         assert stderr_of_R(4) / stderr_of_R(16) == pytest.approx(2.0, rel=0.5)
 
     def test_aggregate_stderr_definition(self):
-        cfg = SimulationConfig(catalog=THREE, policy=LRU(2), horizon_events=30_000,
-                               warmup_events=1_000, seed=41, replications=4)
+        cfg = SimulationConfig(catalog=THREE, policy=LRU(2), horizon_events=29_000,
+                               seed=41, replications=4)
         rep = replicate(cfg, workers=1)
         a = rep.per_replication_aggregate
         assert rep.aggregate_stderr == pytest.approx(a.std(ddof=1) / 2.0, rel=1e-12)
+
+
+def test_the_simulator_imports_nothing_it_checks():
+    # the simulator checks the solver and the limits, so it must not use them
+    tree = ast.parse(Path(simulator.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):  # function-level imports too
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+    assert "multiprocessing" in names  # the walk sees the imports
+    assert not {part for name in names for part in name.split(".")} & {"approx", "asymptotics"}
 
 
 def assert_same_report(a, b):
@@ -784,8 +712,8 @@ class TestCallPool:
     """A call's replications are taken from one shared range by the calling
     process and a pool of workers - 1 processes made for that call."""
 
-    CFG = SimulationConfig(catalog=RENEWAL, policy=LRU(4), horizon_events=6_000,
-                           warmup_events=500, seed=13, replications=6, tau_stride=5)
+    CFG = SimulationConfig(catalog=RENEWAL, policy=LRU(4), horizon_events=5_500,
+                           seed=13, replications=6, tau_stride=5)
 
     def test_the_calling_process_takes_replications_too(self, monkeypatch):
         here = []
@@ -823,23 +751,21 @@ class TestCallPool:
         assert sorted(k for done in taken for k in done) == jobs  # none lost, none twice
         assert all(result == -k for done in taken for k, result in done.items())
 
-    def test_the_default_warmup_is_solved_once_before_the_pool_forks(self, monkeypatch):
-        cfg = SimulationConfig(catalog=RENEWAL, policy=LRU(4), horizon_events=6_000, seed=13,
-                               replications=4)
-        expected = dataclasses.replace(cfg).warmup
-        reference = replicate(dataclasses.replace(cfg), workers=1)
-        solve, calls = approx.characteristic_time, []
-
-        def once(*args, **kwargs):  # forked workers inherit calls as it is at the fork
-            if calls:
-                raise NumericsError("characteristic time solved twice")
-            calls.append(args)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(approx, "characteristic_time", once)
-        report = replicate(cfg, workers=2)
-        assert len(calls) == 1 and cfg.warmup == expected
-        assert_same_report(report, reference)
+    def test_equal_horizons_run_the_larger_catalog_first(self, monkeypatch):
+        # a job's cost counts the n straddle draws of its stationary start
+        # as well as its measured requests
+        order = []
+        worker = simulator._replicate_worker
+        monkeypatch.setattr(simulator, "_replicate_worker",
+                            lambda job: order.append(job[0].catalog.n) or worker(job))
+        configs = [SimulationConfig(catalog=build_catalog(ZipfLaw(0.8), n, float(n),
+                                                          Exponential(1.0)),
+                                    policy=LRU(n // 4), replications=2, **horizon)
+                   for n, horizon in ((40, {"horizon_events": 2_000}),
+                                      (400, {"horizon_events": 2_000}),
+                                      (100, {"horizon_time": 20.0}))]
+        simulator._replicate_all(configs, workers=1)
+        assert order == [400, 400, 100, 100, 40, 40]
 
     def test_a_law_redefined_between_calls_runs_as_redefined(self, monkeypatch):
         def law(shape):  # a unit-mean Gamma, made under the same importable name
@@ -861,8 +787,8 @@ class TestCallPool:
         monkeypatch.setitem(sys.modules, module.__name__, module)
         reports = []
         for shape in (1.0, 4.0):
-            cfg = SimulationConfig(catalog=law(shape), policy=LRU(4), horizon_events=6_000,
-                                   warmup_events=500, seed=17, replications=3)
+            cfg = SimulationConfig(catalog=law(shape), policy=LRU(4), horizon_events=5_500,
+                                   seed=17, replications=3)
             reports.append(replicate(cfg, workers=2))
             assert_same_report(reports[-1], replicate(cfg, workers=1))
         assert reports[0].elapsed_time != reports[1].elapsed_time
