@@ -216,6 +216,9 @@ def _sim_config(cfg, catalog, seed):
     time = _get(sim, "time", float, None, "sim")
     warm_ev = _get(sim, "warmup_events", int, None, "sim")
     warm_t = _get(sim, "warmup_time", float, None, "sim")
+    for key, warmup in (("warmup_events", warm_ev), ("warmup_time", warm_t)):
+        if warmup is not None and warmup < 0:
+            raise ConfigError(f"config key sim.{key} must be >= 0, got {warmup}")
     config = simulator.SimulationConfig(
         catalog=catalog, policy=policy, seed=seed, horizon_events=events, horizon_time=time,
         replications=_get(sim, "replications", int, 1, "sim"),

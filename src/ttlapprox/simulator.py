@@ -36,20 +36,21 @@ request is at most the timer earlier.
 
 A single run is strictly sequential and draws all its randomness from one
 Philox stream keyed by (seed, replication); parallelism exists only across
-replications.  The calling process and a pool of workers - 1 processes,
-made for the call, share a call's replications (every row of a sweep):
-the workers take them from the longest, the caller from the shortest,
-so the caller's own core does not sit idle and a call forks one process
-fewer.  Results are merged in replication order, so reports are
-reproducible bit for bit from (config, seed).
+replications.  The calling process and workers - 1 children, forked for
+the call and joined before it returns, share a call's replications (every
+row of a sweep): the children take them from the longest, the caller from
+the shortest, so the caller's own core does not sit idle and a call forks
+one process fewer.  Each child sends its results back over a pipe.
+Results are merged in replication order, so reports are reproducible bit
+for bit from (config, seed).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import traceback
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -439,11 +440,14 @@ def _replicate_all(configs, workers: int | None = None) -> list:
     its first failing replication.
 
     The replications of all configs run in the calling process and, when
-    workers > 1, in a pool of workers - 1 processes made for the call
-    (see ``_take``); each config's results are merged in replication
-    order, so the reports do not depend on the workers.  Jobs are taken
-    longest first by their expected draws: the measured requests and the
-    n straddle draws of the stationary start.
+    workers > 1, in workers - 1 processes forked for the call (see
+    ``_take``); each config's results are merged in replication order, so
+    the reports do not depend on the workers.  Jobs are taken longest
+    first by their expected draws: the measured requests and the n
+    straddle draws of the stationary start.  Any other exception a job
+    raises, in a child or in the caller, ends the call with it; a child
+    that exits without sending its results ends it with a RuntimeError.
+    No child outlives the call.
     """
     cost = [(c.horizon_events or c.horizon_time * c.catalog.total_rate) + c.catalog.n
             for c in configs]
@@ -454,37 +458,69 @@ def _replicate_all(configs, workers: int | None = None) -> list:
     if workers <= 1:
         done = dict(enumerate(map(_replicate_worker, jobs)))
     else:
-        untaken = multiprocessing.Array("q", [0, len(jobs)])  # jobs[untaken[0]:untaken[1]]
-        with ProcessPoolExecutor(max_workers=workers - 1, initializer=_join,
-                                 initargs=(jobs, untaken)) as pool:
-            theirs = [pool.submit(_take) for _ in range(workers - 1)]
-            done = _take(jobs, untaken, from_back=True)
-            for future in theirs:
-                done.update(future.result())
+        done = _fan_out(jobs, workers)
     by_key = {keys[k]: result for k, result in done.items()}
     return [_merge([by_key[i, rep] for rep in range(c.replications)])
             for i, c in enumerate(configs)]
 
 
-_batch = None  # in a pool's worker: the (jobs, untaken) of the call that made it
+def _fan_out(jobs, workers) -> dict:
+    """Every job's result by job index, from the caller and workers - 1
+    forked children.  Fork, whatever the default start method: the
+    children inherit ``jobs`` and the code as it is in the caller."""
+    fork = multiprocessing.get_context("fork")
+    untaken = fork.Array("q", [0, len(jobs)])  # jobs[untaken[0]:untaken[1]]
+    children = []
+    try:
+        for _ in range(workers - 1):
+            recv, send = fork.Pipe(duplex=False)
+            child = fork.Process(target=_child, args=(jobs, untaken, send))
+            child.start()
+            children.append((child, recv))
+            send.close()  # the child's end: recv sees EOF once the child exits
+        done = _take(jobs, untaken, from_back=True)
+        for child, recv in children:
+            try:
+                theirs = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"a replication worker exited with code {child.exitcode} "
+                                   "before sending its results") from None
+            if isinstance(theirs, tuple):  # a job raised in the child
+                exc, trace = theirs
+                raise exc from RuntimeError(f"raised in a replication worker:\n{trace}")
+            done.update(theirs)
+        return done
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, recv in children:
+            child.join()
+            recv.close()
 
 
-def _join(jobs, untaken):
-    global _batch
-    _batch = jobs, untaken
+def _child(jobs, untaken, send):
+    """A forked worker: sends the results of the jobs it takes, or the
+    exception one of them raised with its traceback.  On an interrupt or
+    exit it sends nothing and the caller sees the child's exit code."""
+    try:
+        done = _take(jobs, untaken)
+    except Exception as exc:
+        done = exc, traceback.format_exc()
+    send.send(done)
 
 
-def _take(jobs=None, untaken=None, from_back=False) -> dict:
+def _take(jobs, untaken, from_back=False) -> dict:
     """The result of each job this process takes, by job index, until
     ``jobs[untaken[0]:untaken[1]]`` is empty.
 
-    A pool's worker takes its call's jobs from the front, the longest
+    A forked child takes the call's jobs from the front, the longest
     first; the calling process takes from the back, so it runs the
     shortest jobs, and its own peak memory grows by their working set
     only.
     """
-    if jobs is None:
-        jobs, untaken = _batch
     done = {}
     while True:
         with untaken.get_lock():

@@ -337,6 +337,9 @@ class TestExitCodes:
         (["simulate"], "sim.events", "x", "sim.events"),
         (["simulate"], "sim", {"events": 200}, "sim.events"),  # the default warmup is 5n = 300
         (["simulate"], "sim.warmup_time", 1e9, "sim.events"),
+        (["simulate"], "sim", {"events": 20000, "warmup_events": -5, "warmup_time": -1.0},
+         "sim.warmup_events"),
+        (["simulate"], "sim.warmup_time", -1e308, "sim.warmup_time"),
         (["simulate"], "seed", "x", "seed"),
         (["limit"], "limit.classes", 5, "limit.classes"),
         (["limit"], "limit.classes.0.density.power.alpha", _DROP,

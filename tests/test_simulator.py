@@ -1,7 +1,10 @@
 import ast
 import math
 import multiprocessing
+import os
+import signal
 import sys
+import time
 import types
 import warnings
 from pathlib import Path
@@ -710,10 +713,33 @@ def assert_same_report(a, b):
 
 class TestCallPool:
     """A call's replications are taken from one shared range by the calling
-    process and a pool of workers - 1 processes made for that call."""
+    process and workers - 1 children forked for that call, each of which
+    sends its results back over a pipe.  No child outlives the call, and
+    a failure in a child or in the caller ends it."""
 
     CFG = SimulationConfig(catalog=RENEWAL, policy=LRU(4), horizon_events=5_500,
                            seed=13, replications=6, tau_stride=5)
+
+    @staticmethod
+    def patch_worker(monkeypatch, in_child=lambda: None, in_caller=lambda: time.sleep(0.2)):
+        """Run in_child() before each job a forked child takes, in_caller()
+        before each job the calling process takes.  The caller's default
+        sleep leaves the child time to take jobs of its own."""
+        caller, worker = os.getpid(), simulator._replicate_worker
+
+        def patched(job):
+            (in_child if os.getpid() != caller else in_caller)()
+            return worker(job)
+
+        monkeypatch.setattr(simulator, "_replicate_worker", patched)
+
+    @staticmethod
+    def record_children(monkeypatch):
+        """The list of every child the fork context starts from now on."""
+        started, start = [], multiprocessing.context.ForkProcess.start
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
+                            lambda child: started.append(child) or start(child))
+        return started
 
     def test_the_calling_process_takes_replications_too(self, monkeypatch):
         here = []
@@ -721,35 +747,87 @@ class TestCallPool:
         monkeypatch.setattr(simulator, "_replicate_worker",
                             lambda job: here.append(job[1]) or worker(job))
         report = replicate(self.CFG, workers=2)
-        assert here  # the pool's worker appends to its own copy of the list
+        assert here  # a child appends to its own copy of the list
         assert_same_report(report, replicate(self.CFG, workers=1))
 
     def test_workers_beyond_the_replications_start_no_process(self, monkeypatch):
-        sizes = []
-
-        class Recorded(simulator.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(simulator, "ProcessPoolExecutor", Recorded)
+        started = self.record_children(monkeypatch)
         cfg = SimulationConfig(catalog=RENEWAL, policy=LRU(4), horizon_events=3_000,
                                seed=13, replications=2)
         replicate(cfg, workers=8)
-        assert sizes == [1]
+        assert len(started) == 1
         assert not multiprocessing.active_children()  # joined before the call returns
 
     def test_each_job_is_taken_once_with_more_workers_than_cores(self, monkeypatch):
         monkeypatch.setattr(simulator, "_replicate_worker", lambda job: -job)
         jobs = list(range(5000))
-        untaken = multiprocessing.Array("q", [0, len(jobs)])
-        with simulator.ProcessPoolExecutor(max_workers=4, initializer=simulator._join,
-                                           initargs=(jobs, untaken)) as pool:
-            theirs = [pool.submit(simulator._take) for _ in range(4)]
-            taken = [simulator._take(jobs, untaken, from_back=True)]
-            taken += [future.result(timeout=60) for future in theirs]
+        fork = multiprocessing.get_context("fork")
+        untaken = fork.Array("q", [0, len(jobs)])
+        pipes = [fork.Pipe(duplex=False) for _ in range(4)]
+        children = [fork.Process(target=simulator._child, args=(jobs, untaken, send))
+                    for _, send in pipes]
+        for child in children:
+            child.start()
+        taken = [simulator._take(jobs, untaken, from_back=True)]
+        for recv, _ in pipes:
+            assert recv.poll(60)
+            taken.append(recv.recv())
+        for child in children:
+            child.join(60)
+            assert child.exitcode == 0
         assert sorted(k for done in taken for k in done) == jobs  # none lost, none twice
         assert all(result == -k for done in taken for k, result in done.items())
+
+    def test_an_unexpected_error_in_a_child_is_raised_by_the_caller(self, monkeypatch):
+        def fail():
+            raise ZeroDivisionError("raised in a child")
+
+        self.patch_worker(monkeypatch, in_child=fail)
+        with pytest.raises(ZeroDivisionError, match="raised in a child") as raised:
+            replicate(self.CFG, workers=2)
+        assert "in fail" in str(raised.value.__cause__)  # the child's traceback
+        assert not multiprocessing.active_children()
+
+    def test_a_child_that_exits_before_sending_is_a_runtime_error(self, monkeypatch):
+        def hung(signum, frame):
+            raise TimeoutError("the caller still waits for the dead child")
+
+        self.patch_worker(monkeypatch, in_child=lambda: os._exit(3))
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(RuntimeError, match="code 3"):
+                replicate(self.CFG, workers=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert not multiprocessing.active_children()
+
+    def test_an_error_in_the_caller_terminates_the_children(self, monkeypatch):
+        def fail():
+            raise ZeroDivisionError("raised in the caller")
+
+        started = self.record_children(monkeypatch)
+        self.patch_worker(monkeypatch, in_child=lambda: time.sleep(60), in_caller=fail)
+        begin = time.monotonic()
+        with pytest.raises(ZeroDivisionError, match="raised in the caller"):
+            replicate(self.CFG, workers=3)
+        assert time.monotonic() - begin < 30  # the children's jobs were not waited for
+        assert [child.exitcode for child in started] == [-signal.SIGTERM] * 2
+        assert not multiprocessing.active_children()
+
+    def test_children_are_forked_whatever_the_default_start_method(self, monkeypatch):
+        ran_in_child = multiprocessing.get_context("fork").RawValue("i", 0)
+        self.patch_worker(monkeypatch, in_child=lambda: setattr(ran_in_child, "value", 1),
+                          in_caller=lambda: time.sleep(0.05))
+        default = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("spawn", force=True)
+        try:
+            report = replicate(self.CFG, workers=2)
+        finally:
+            multiprocessing.set_start_method(default, force=True)
+        assert ran_in_child.value == 1  # a spawned child would run the unpatched worker
+        assert_same_report(report, replicate(self.CFG, workers=1))
 
     def test_equal_horizons_run_the_larger_catalog_first(self, monkeypatch):
         # a job's cost counts the n straddle draws of its stationary start
