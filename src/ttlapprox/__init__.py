@@ -6,7 +6,7 @@ the resulting per-content and aggregate hit probabilities, computes their
 large-system limits, and validates everything against an exact
 simulator fed by independent stationary renewal streams.  The simulator
 merges each time window's requests in one vectorized batch; only the LRU
-pointer scan over the merged requests runs per request.
+update runs per request, and only over the requests that can miss.
 
 The package exports the public names of its library modules, each listed
 in that module's ``__all__``; the command line lives in ``ttlapprox.cli``.

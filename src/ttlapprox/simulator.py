@@ -22,17 +22,20 @@ value before a content's first gap, it gives that content's request
 times from its pending one, and the times before the window's end are a
 prefix of them.  The window's measured requests are merged in time order
 (ties broken by content index), each with the same content's previous
-request time.
+request time and its index in the window (-1 if it lies before).
 
 LRU depends on the merged sequence alone (the stack view of Mattson et
 al. 1970): the cache holds the C most recently requested contents, those
 whose latest request lies at or after a pointer into the sequence that
 only moves forward.  It starts from each content's latest request at or
-before 0, which the stream yields first, and its one per-request Python
-loop is a pointer scan that costs a list load, a compare and a store per
-request, and takes the reuse-window samples on its way.  A reset-timer
-cache needs no loop: a request hits iff the same content's previous
-request is at most the timer earlier.
+before 0, which the stream yields first.  A request at most C positions
+after its content's previous one hits for certain, so the one Python
+loop visits only the others (about half of them on Zipf(0.8) catalogs at
+C = 0.3 n) and the reuse-window samples, and its pointer walks only the
+entries that can still be live when it reaches them; numpy finds both
+from the previous-request indices.  A reset-timer cache needs no loop: a
+request hits iff the same content's previous request is at most the
+timer earlier.
 
 A single run is strictly sequential and draws all its randomness from one
 Philox stream keyed by (seed, replication); parallelism exists only across
@@ -97,9 +100,7 @@ class SimulationConfig:
     is measured and there is no warmup.
 
     ``tau_stride`` > 0 samples the reuse-window width at every stride-th
-    measured request (LRU only).  ``check_invariants`` checks the LRU
-    state at the end of every window: exactly ``capacity`` contents are
-    cached.
+    measured request (LRU only).
     """
 
     catalog: ContentCatalog
@@ -109,7 +110,6 @@ class SimulationConfig:
     seed: int = 0
     replications: int = 1
     tau_stride: int = 0
-    check_invariants: bool = False
 
     def __post_init__(self):
         if isinstance(self.policy, LRU):
@@ -209,12 +209,15 @@ def _window_draws(rates, groups, nxt, last, rng, t1):
     and 15 % on a Gamma(0.5)/Weibull(0.7) one, for 2 % and 7 % of all
     gaps; a wider margin would discard more gaps than it saves.  Advances
     nxt (each content's first request at or after t1) and last (its latest
-    request before t1).  Returns (times, ids, prev), not in time order;
-    prev is the same content's previous request time.
+    request before t1).  Returns (times, ids, prev, prev_at), not in time
+    order; prev is the same content's previous request time and prev_at
+    the index of that request in these arrays, or -1 if it lies before
+    the window.
     """
-    parts = []
+    parts, size = [], 0
     for dist, idx in groups:
         todo = idx[nxt[idx] < t1]
+        latest = np.full(todo.size, -1, dtype=np.int64)  # index of each one's latest request
         while todo.size:
             rate, pending = rates[todo], nxt[todo]
             m = rate * (t1 - pending)
@@ -230,36 +233,53 @@ def _window_draws(rates, groups, nxt, last, rng, t1):
             keep[ends - 1] = False  # a content's last time stays pending
             kept = np.add.reduceat(keep, starts, dtype=np.int64)  # a prefix: times increase
             times = t[keep]
+            # this round's pending requests go at size, its kept ones after
+            # them; each kept one follows its previous, or its pending one
+            below = size + todo.size - 1  # the index just below the kept ones
             prev = np.empty_like(times)
             prev[1:] = times[:-1]
+            prev_at = np.arange(below, below + times.size)
             some = kept > 0
-            prev[(np.cumsum(kept) - kept)[some]] = pending[some]
-            parts += [(pending, todo, last[todo]), (times, np.repeat(todo, kept), prev)]
+            tops = np.cumsum(kept)
+            heads = (tops - kept)[some]
+            prev[heads] = pending[some]
+            prev_at[heads] = np.flatnonzero(some) + size
+            parts += [(pending, todo, last[todo], latest),
+                      (times, np.repeat(todo, kept), prev, prev_at)]
             last[todo] = np.where(some, t[starts + kept - 1], pending)
             nxt[todo] = t[starts + kept]
-            todo = todo[nxt[todo] < t1]
+            again = nxt[todo] < t1  # all its times fell inside: its latest is a kept one
+            latest = tops[again] + below
+            size += todo.size + times.size
+            todo = todo[again]
     if not parts:
-        return np.empty(0), np.empty(0, dtype=np.int64), np.empty(0)
+        return np.empty(0), np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64)
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _merged(times, ids, prev):
-    """The requests in time order, ties broken by content index."""
+def _merged(times, ids, prev, prev_at):
+    """The requests in time order, ties broken by content index; prev_at
+    becomes the previous request's index in that order."""
     order = np.argsort(times)
     ordered = times[order]
     if np.any(ordered[1:] == ordered[:-1]):  # exact ties: order them by content
         order = np.lexsort((ids, times))
         ordered = times[order]
-    return ordered, ids[order], prev[order]
+    rank = np.empty(order.size + 1, dtype=np.int64)  # rank[-1] = -1 keeps -1
+    rank[order] = np.arange(order.size)
+    rank[-1] = -1
+    prev_at = rank[prev_at[order]]
+    del rank  # before the other gathers: one fewer array at the peak
+    return ordered, ids[order], prev[order], prev_at
 
 
 def _requests(config: SimulationConfig, replication: int):
     """The measured requests of one replication, whatever the policy.
 
     Yields first each content's latest request time at or before 0, then
-    each window's measured (times, ids, prev) in ``_merged`` order: the
-    first horizon_events requests from t = 0 on, or those before
-    horizon_time.  The event horizon cuts at a count over a window's
+    each window's measured (times, ids, prev, prev_at) in ``_merged``
+    order: the first horizon_events requests from t = 0 on, or those
+    before horizon_time.  The event horizon cuts at a count over a window's
     unsorted draws, equal to a position in that order.  A window expects
     2**14 requests, or the run's expected number if that is smaller.
     """
@@ -274,7 +294,8 @@ def _requests(config: SimulationConfig, replication: int):
     while not final:
         window += 1
         t1 = window * width
-        times, ids, prev = _window_draws(catalog.rates, catalog.groups, nxt, last, rng, t1)
+        times, ids, prev, prev_at = _window_draws(catalog.rates, catalog.groups, nxt, last,
+                                                  rng, t1)
         if config.horizon_time is None:
             final = done + times.size >= events
             size = min(times.size, events - done)
@@ -282,108 +303,129 @@ def _requests(config: SimulationConfig, replication: int):
         else:
             final = length <= t1
             size = int(np.count_nonzero(times < length))
-        times, ids, prev = _merged(times, ids, prev)
-        yield times[:size], ids[:size], prev[:size]
-        del times, ids, prev  # free this window before the next is drawn
+        times, ids, prev, prev_at = _merged(times, ids, prev, prev_at)
+        yield times[:size], ids[:size], prev[:size], prev_at[:size]
+        del times, ids, prev, prev_at  # free this window before the next is drawn
 
 
 class _Lru:
-    """LRU as a pointer scan over the merged request sequence.
-
-    The cache holds the contents whose latest request is at or after
-    position ``p``.  ``latest[i]`` is the position of content i's latest
-    request; ``seq`` holds the requested contents from position ``base``
-    on, and ``at`` their times when the reuse window is sampled.  An entry
-    is live iff it is its content's latest request, and exactly
-    ``capacity`` live entries lie at or after ``p``: the cache is full
-    from the start.  ``p`` moves only forward: over dead entries, and past
-    the least recent live one to evict it.
+    """LRU over the merged request sequence, visiting only the requests
+    that can miss.
 
     LRU depends only on the recency order, so the state at any moment is
     the ``capacity`` most recently requested contents.  The constructor
     takes every content's latest request time at or before the start and
     caches the ``capacity`` contents with the largest (time, content
-    index), the merge's own order, as positions 0, 1, ... from least to
-    most recent.
+    index), the merge's own order.  A window starts from its cache,
+    ``cached`` (least recent first, requested at ``at``), as if those C
+    contents had been requested at entries 1, ..., C of a sequence whose
+    entry C + 1 + k is the window's request k; ``place[i]`` is content
+    i's entry among 1..C, and 0, which stands for every evicted content.
+
+    In that sequence the cache holds the contents whose latest request
+    is at or after a pointer that only moves forward: a miss moves it
+    past the entries that are no longer their content's latest (dead)
+    and past the least recent live one, which it evicts.  C live entries
+    lie between the pointer and the request, so the pointer passes entry
+    q only at a request C or more after it, and a dead one only more than
+    C after it.  Hence a request at most C entries after its content's
+    previous one hits for certain, and an entry requested again fewer
+    than C entries later is dead before the pointer reaches it.  The
+    Python loop visits the other requests only, and its pointer walks
+    only the entries requested again at least C later or not in the
+    window: one requested again exactly C later can be the least recent
+    at a reuse-window sample.  The walked entries from the pointer on
+    that are not requested again in the window are the cache at its end,
+    C of them, or the update is wrong and raises.
 
     With ``stride``, the reuse window (now minus the least recent cached
-    content's latest request time) goes to ``taus`` before every stride-th
-    measured request, the next at position ``due``; the scan notes the
-    window's two ends (positions) in the same loop as the update, and the
-    window's widths are then taken from the request times ``at`` in one
-    vector step.  With no stride ``due`` is -1, a position the scan never
-    reaches.  ``check`` counts the live entries against the capacity.
+    content's latest request time) goes to ``taus`` before every
+    stride-th measured request, counted across windows: the loop visits
+    those requests too and notes the walked entry at the pointer, and the
+    widths are then taken from the times in one vector step.
     """
 
-    def __init__(self, last, capacity, stride, check):
-        self.capacity, self.stride, self.check = capacity, stride, check
-        self.taus, self.ends = [], []  # tau arrays by window; the scan's (k, p) pairs
+    def __init__(self, last, capacity, stride):
+        self.capacity, self.stride = capacity, stride
+        self.taus = []  # tau arrays by window
         # sort only the times at or above the capacity-th largest, ties included
         cut = np.partition(last, last.size - capacity)[last.size - capacity]
         top = np.flatnonzero(last >= cut)
-        order = top[np.argsort(last[top], kind="stable")][-capacity:]  # ties: by index
-        latest = np.full(last.size, -1, dtype=np.int64)
-        latest[order] = np.arange(capacity)
-        self.latest, self.seq, self.at = latest.tolist(), order.tolist(), last[order]
-        self.base = self.p = 0
-        self.pos = capacity
-        self.due = self.pos if stride else -1  # position of the next reuse-window sample
+        self.cached = top[np.argsort(last[top], kind="stable")][-capacity:]  # ties: by index
+        self.at = last[self.cached]
+        self.place = np.zeros(last.size, dtype=np.int64)
+        self.place[self.cached] = np.arange(1, capacity + 1)
+        self.pos = 0  # measured requests before this window
 
-    def _scan(self, ids, misses):
-        """The LRU update: apply requests in order and append the positions
-        of the misses.  A request hits iff its content's latest request is
-        at or after p.  Before the request at position ``due`` the ends of
-        its reuse window go to ``ends``."""
-        latest, seq, base, stride = self.latest, self.seq, self.base, self.stride
-        p, due = self.p, self.due
-        record, end = misses.append, self.ends.append
-        for k, i in enumerate(ids, self.pos):
-            if k == due:
-                due += stride
-                while latest[seq[p - base]] != p:  # skip dead entries to the least recent
+    def __call__(self, times, ids, prev, prev_at):
+        """Hit flags of one window's measured requests, in time order."""
+        C, n = self.capacity, ids.size
+        # the window's sequence: 0 stands for every evicted content, 1..C
+        # are the cache carried in and C + 1 + k is request k
+        length = n + C + 1
+        none = length + C  # the next request of an entry not requested again
+        seq = np.arange(length)
+        back = prev_at + (C + 1)  # each request's previous entry
+        np.copyto(back, self.place[ids], where=prev_at < 0)
+        visit = seq[C + 1:] - back > C
+        if self.stride:
+            samples = np.arange(-self.pos % self.stride, n, self.stride)
+            visit[samples] = True
+        nxt = np.full(length, none)
+        nxt[back] = seq[C + 1:]  # entry 0 takes the evicted contents' requests
+        walked = nxt - seq >= C
+        walked[0] = False
+        walk = np.flatnonzero(walked)
+        ahead = nxt[walk]
+        del nxt
+        # the walk index of the first walked entry at or after each entry;
+        # -1 at 0, so a visited request after an eviction misses
+        index = seq  # seq is not needed again
+        index[0] = -1
+        np.cumsum(walked[:-1], out=index[1:])
+        del walked
+        vis = np.flatnonzero(visit)
+        previous = index[back[vis]]
+        del seq, index, back
+        # each walked entry's next request as the count of visited requests
+        # up to it, so the entry is dead at visited request j iff that count
+        # is <= j (none: never); C live entries stay beyond the pointer, so
+        # it reads no more than walk.size - C + 1 of them
+        count = np.empty(length + 1, dtype=np.int64)
+        np.cumsum(visit, out=count[C + 1:length])
+        count[length] = none
+        walk_next = np.take(count, ahead[:walk.size - C + 1], mode="clip")
+        dues = iter((count[samples + (C + 1)] - 1).tolist() if self.stride else ())
+        del visit, count
+        previous, walk_next = previous.tolist(), walk_next.tolist()
+        misses, ends = array("q"), array("q")
+        record, end = misses.append, ends.append
+        due = next(dues, -1)  # the visited index of the next sample
+        p = 0  # the pointer, a walk index
+        for j, q in enumerate(previous):  # q: the walk index from the previous request on
+            if j == due:
+                while walk_next[p] <= j:  # skip dead entries to the least recent
                     p += 1
-                end(k)
                 end(p)
-            if latest[i] < p:
-                record(k)
-                while latest[seq[p - base]] != p:
+                due = next(dues, -1)
+            if q < p:
+                record(j)
+                while walk_next[p] <= j:
                     p += 1
                 p += 1
-            latest[i] = k
-        self.p, self.due = p, due
-        self.pos += len(ids)
-
-    def _least_recent(self):
-        """Skip the dead entries at p; p is then the least recent cached
-        content's latest request."""
-        latest, seq, base, p = self.latest, self.seq, self.base, self.p
-        while latest[seq[p - base]] != p:
-            p += 1
-        self.p = p
-        return p - base
-
-    def __call__(self, times, ids, prev):
-        """Hit flags of one window's measured requests, in time order."""
-        start, ids = self.pos, ids.tolist()
-        self.seq.extend(ids)
-        misses = array("q")
-        self._scan(ids, misses)
-        if self.stride:
-            self.at = np.concatenate((self.at, times))
-            if self.ends:
-                k, p = np.array(self.ends).reshape(-1, 2).T - self.base
-                self.taus.append(self.at[k] - self.at[p])
-                self.ends.clear()
-        cut = self._least_recent()
-        del self.seq[:cut]
-        self.at = self.at[cut:]
-        self.base = self.p
-        if self.check:  # raised, not asserted: python -O keeps it
-            live = sum(self.latest[i] == k for k, i in enumerate(self.seq, self.base))
-            if live != self.capacity:
-                raise AssertionError(f"LRU holds {live} live entries, capacity {self.capacity}")
-        hit = np.ones(len(ids), dtype=bool)
-        hit[np.frombuffer(misses, dtype=np.int64) - start] = False
+        del previous, walk_next
+        tail = walk[p + np.flatnonzero(ahead[p:] == none)] - 1
+        if tail.size != C:  # raised, not asserted: python -O keeps it
+            raise AssertionError(f"LRU holds {tail.size} live entries, capacity {C}")
+        at = np.concatenate((self.at, times))
+        if ends:
+            self.taus.append(times[samples] - at[walk[np.frombuffer(ends, dtype=np.int64)] - 1])
+        self.place[self.cached] = 0
+        self.cached, self.at = np.concatenate((self.cached, ids))[tail], at[tail]
+        self.place[self.cached] = np.arange(1, C + 1)
+        self.pos += n
+        hit = np.ones(n, dtype=bool)
+        hit[vis[np.frombuffer(misses, dtype=np.int64)]] = False
         return hit
 
 
@@ -397,14 +439,14 @@ def run(config: SimulationConfig, replication: int = 0, trace=None) -> Simulatio
     stream = _requests(config, replication)
     start = next(stream)
     if isinstance(policy, LRU):
-        hit_of = _Lru(start, policy.capacity, config.tau_stride, config.check_invariants)
+        hit_of = _Lru(start, policy.capacity, config.tau_stride)
         taus = hit_of.taus
     else:
-        hit_of, taus = (lambda times, ids, prev: times - prev <= policy.timer), []
+        hit_of, taus = (lambda times, ids, prev, prev_at: times - prev <= policy.timer), []
     reqs, hits = np.zeros((2, n), dtype=np.int64)
     span = []  # times of the first and the latest measured request
-    for times, ids, prev in stream:
-        hit = hit_of(times, ids, prev)
+    for times, ids, prev, prev_at in stream:
+        hit = hit_of(times, ids, prev, prev_at)
         reqs += np.bincount(ids, minlength=n)
         hits += np.bincount(ids[hit], minlength=n)
         if trace is not None:
@@ -412,7 +454,7 @@ def run(config: SimulationConfig, replication: int = 0, trace=None) -> Simulatio
                 trace(*event)
         if times.size:
             span = [span[0] if span else times[0], times[-1]]
-        del times, ids, prev, hit  # free this window before the next is drawn
+        del times, ids, prev, prev_at, hit  # free this window before the next is drawn
     elapsed = float(span[1] - span[0]) if span else 0.0
     return SimulationReport(requests=reqs, hits=hits, elapsed_time=elapsed,
                             tau_samples=np.concatenate([np.empty(0), *taus]), replications=1)

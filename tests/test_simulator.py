@@ -264,8 +264,8 @@ class TestRun:
 
     def test_capacity_invariant_checked(self):
         cfg = SimulationConfig(catalog=THREE, policy=LRU(2), horizon_events=19_900,
-                               seed=3, check_invariants=True)
-        rep = run(cfg)  # assertion inside the loop would fail on violation
+                               seed=3)
+        rep = run(cfg)  # raises if a window ends with other than C contents cached
         assert rep.total_requests == 19_900
 
 
@@ -307,7 +307,7 @@ class TestRecencySemantics:
     def test_lru_hit_iff_among_c_most_recent(self):
         for C in (1, 5, 11):
             cfg = SimulationConfig(catalog=RENEWAL, policy=LRU(C), horizon_events=40_000,
-                                   seed=17, check_invariants=True)
+                                   seed=17)
             rep, times, ids, hits = traced(cfg)
             assert rep.total_requests == times.size == 40_000
             assert np.all(np.diff(times) >= 0)
@@ -350,15 +350,15 @@ TIED = ContentCatalog(rates=np.tile([1.0, 2.0, 4.0, 0.5], 16), classes=(Constant
 
 
 def check_against_ordered_dict_loop(catalog, C, stride, seed, horizon):
-    """Run LRU(C) with ``check_invariants`` and compare hits, requests,
-    tau_samples and elapsed_time bitwise with ``ordered_dict_lru`` replayed
-    over the same sample path from the same start; path and start depend
-    on the seed and the horizon alone.  Returns the report and
-    the path's times and contents."""
+    """Run LRU(C) and compare hits, requests, tau_samples and elapsed_time
+    bitwise with ``ordered_dict_lru`` replayed over the same sample path
+    from the same start; path and start depend on the seed and the
+    horizon alone.  Returns the report and the path's times and
+    contents."""
     path = SimulationConfig(catalog=catalog, policy=TTL(1.0), seed=seed, **horizon)
     _, times, ids, _ = traced(path)
     rep = run(SimulationConfig(catalog=catalog, policy=LRU(C), seed=seed, tau_stride=stride,
-                               check_invariants=True, **horizon))
+                               **horizon))
     hit, taus = ordered_dict_lru(ids, times, C, start_of(path), stride=stride)
     assert np.array_equal(rep.requests, np.bincount(ids, minlength=catalog.n))
     assert np.array_equal(rep.hits, np.bincount(ids[hit], minlength=catalog.n))
@@ -368,8 +368,9 @@ def check_against_ordered_dict_loop(catalog, C, stride, seed, horizon):
 
 
 class TestPointerScan:
-    """The LRU scan against the former OrderedDict loop (``ordered_dict_lru``)
-    replayed over the same sample path, which depends on the seed alone."""
+    """The LRU consumer against the former OrderedDict loop
+    (``ordered_dict_lru``) replayed over the same sample path, which
+    depends on the seed alone."""
 
     @pytest.mark.parametrize("C", [1, 600, 1999, 2000])
     def test_bitwise_equal_to_ordered_dict_loop(self, C):
@@ -475,7 +476,7 @@ class TestWindowDraws:
                                                  for _ in range(2))
         sizes = []
         for w in range(1, windows + 1):
-            new = _window_draws(catalog.rates, catalog.groups, nxt, last, rng, w * width)
+            *new, _ = _window_draws(catalog.rates, catalog.groups, nxt, last, rng, w * width)
             old = segmented_window_draws(catalog.rates, catalog.groups, nxt0, last0, rng0,
                                          w * width)
             (t, i, p), (t0, i0, p0) = (
@@ -498,7 +499,7 @@ class TestWindowMerge:
                              class_of=np.zeros(rates.size, dtype=np.int64))
         nxt, last, rng = init_stationary(cat, seed=0)
         t1 = _WINDOW_EVENTS / cat.total_rate
-        times, ids, prev = _merged(*_window_draws(cat.rates, cat.groups, nxt, last, rng, t1))
+        times, ids, prev, _ = _merged(*_window_draws(cat.rates, cat.groups, nxt, last, rng, t1))
         assert times.size > _WINDOW_EVENTS // 2
         assert np.sum(np.diff(times) == 0) > times.size // 2
         assert np.array_equal(np.lexsort((ids, times)), np.arange(times.size))
@@ -549,6 +550,55 @@ class TestWindowMerge:
         assert rep.elapsed_time == t1[-1] - t1[0]
 
 
+def assert_prev_at(times, ids, prev, prev_at):
+    """prev_at holds, for each request, the index in these arrays of the
+    same content's previous request, at time prev, or -1 at exactly each
+    content's first request here."""
+    has = prev_at >= 0
+    assert np.all(prev_at < np.arange(ids.size)) and np.all(prev_at >= -1)
+    assert times[prev_at[has]].tobytes() == prev[has].tobytes()
+    assert np.array_equal(ids[prev_at[has]], ids[has])
+    assert np.unique(prev_at[has]).size == np.count_nonzero(has)  # one next per request
+    assert np.array_equal(np.flatnonzero(~has), np.sort(np.unique(ids, return_index=True)[1]))
+
+
+class TestPrevAt:
+    """The fourth column of each window: the index of the same content's
+    previous request in the window, as drawn and as merged in time order."""
+
+    @pytest.mark.parametrize("catalog, width", [
+        (build_catalog(ZipfLaw(0.8), 1000, 1000.0, Exponential(1.0)), None),
+        (ZIPF_RENEWAL, None),
+        (TIED, None),
+        # about a thousand redraws per window
+        (ContentCatalog(rates=np.ones(8), classes=(ShortGap(),),
+                        class_of=np.zeros(8, dtype=np.int64)), 1.0),
+    ], ids=["exponential-1000", "gamma-weibull", "constant-gap-ties", "short-gap"])
+    def test_drawn_and_merged(self, catalog, width):
+        width = width or _WINDOW_EVENTS / catalog.total_rate
+        nxt, last, rng = init_stationary(catalog, seed=3)
+        for w in range(1, 21):
+            draws = _window_draws(catalog.rates, catalog.groups, nxt, last, rng, w * width)
+            assert_prev_at(*draws)
+            merged = _merged(*draws)
+            assert_prev_at(*merged)
+            assert np.all(np.diff(merged[0]) >= 0)
+
+    @pytest.mark.parametrize("catalog", [ZIPF_RENEWAL, TIED], ids=["gamma-weibull", "ties"])
+    @pytest.mark.parametrize("horizon", ["events", "time"])
+    def test_every_yielded_window(self, catalog, horizon):
+        width = _WINDOW_EVENTS / catalog.total_rate
+        horizon = ({"horizon_events": 3 * _WINDOW_EVENTS} if horizon == "events"
+                   else {"horizon_time": 2.5 * width})
+        stream = simulator._requests(SimulationConfig(catalog=catalog, policy=TTL(1.0),
+                                                      **horizon), 0)
+        next(stream)
+        windows = list(stream)
+        assert len(windows) >= 3
+        for window in windows:
+            assert_prev_at(*window)
+
+
 class TestTauSampling:
     def test_exceedance_below_upper_concentration_bound(self):
         # one-sided: the bound is loose at this scale, so this checks the
@@ -595,15 +645,47 @@ def small_configs(draw, replications=1):
     policy = draw(st.one_of(st.builds(LRU, st.integers(1, n)),
                             st.builds(TTL, st.floats(0.01, 10.0))))
     return SimulationConfig(catalog=cat, policy=policy, horizon_events=1800,
-                            seed=draw(st.integers(0, 2**32 - 1)), replications=replications,
-                            check_invariants=isinstance(policy, LRU))
+                            seed=draw(st.integers(0, 2**32 - 1)), replications=replications)
+
+
+def constant_gap_catalog(alpha, n):
+    """The tie-producing law on a Zipf catalog: under Zipf(0) all contents
+    request at the same times."""
+    return ContentCatalog(rates=ZipfLaw(alpha).weights(n) * n, classes=(ConstantGap(),),
+                          class_of=np.zeros(n, dtype=np.int64))
+
+
+@st.composite
+def lru_paths(draw):
+    """(catalog, C, stride, seed, horizon) of an LRU run on a Zipf catalog
+    of 2 to 60 contents, capacity 1 to n, whose horizon lies past the first
+    window's end, under any small law or the tie-producing one."""
+    n = draw(st.integers(2, 60))
+    alpha = draw(st.sampled_from([0.0, 0.8, 1.3]))
+    law = draw(st.sampled_from(SMALL_LAWS + [None]))
+    cat = (constant_gap_catalog(alpha, n) if law is None
+           else build_catalog(ZipfLaw(alpha), n, float(n), law))
+    width = _WINDOW_EVENTS / cat.total_rate
+    horizon = draw(st.one_of(
+        st.builds(lambda e: {"horizon_events": e},
+                  st.integers(_WINDOW_EVENTS + 2000, 2 * _WINDOW_EVENTS)),
+        st.builds(lambda f: {"horizon_time": f * width}, st.floats(1.05, 2.0))))
+    return (cat, draw(st.integers(1, n)), draw(st.sampled_from([0, 1, 3, 16])),
+            draw(st.integers(0, 2**32 - 1)), horizon)
 
 
 class TestProperties:
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(case=lru_paths())
+    def test_lru_bitwise_equal_to_ordered_dict_loop(self, case):
+        # hits, requests, tau samples and elapsed time, across the window
+        # boundary that carries the cache
+        check_against_ordered_dict_loop(*case)
+
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(cfg=small_configs())
     def test_hits_within_requests(self, cfg):
-        # check_invariants raises if the LRU ever holds more than C contents
+        # the LRU raises if a window ends with other than C contents cached
         rep = run(cfg)
         assert rep.total_requests == 1800
         assert np.all((0 <= rep.hits) & (rep.hits <= rep.requests))
