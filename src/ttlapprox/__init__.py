@@ -12,9 +12,10 @@ The package exports the public names of its library modules, each listed
 in that module's ``__all__``; the command line lives in ``ttlapprox.cli``.
 """
 
-from . import (approx, asymptotics, densities, distributions, errors, experiments, popularity,
-               simulator)
+from . import (approx, assumptions, asymptotics, densities, distributions, errors, experiments,
+               popularity, simulator)
 from .approx import *  # noqa: F401,F403
+from .assumptions import *  # noqa: F401,F403
 from .asymptotics import *  # noqa: F401,F403
 from .densities import *  # noqa: F401,F403
 from .distributions import *  # noqa: F401,F403
@@ -23,7 +24,7 @@ from .experiments import *  # noqa: F401,F403
 from .popularity import *  # noqa: F401,F403
 from .simulator import *  # noqa: F401,F403
 
-__all__ = [name for module in (approx, asymptotics, densities, distributions, errors,
+__all__ = [name for module in (approx, assumptions, asymptotics, densities, distributions, errors,
                                experiments, popularity, simulator) for name in module.__all__]
 
 __version__ = "0.1.0"

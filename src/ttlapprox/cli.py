@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import approx, asymptotics, experiments, simulator
+from .assumptions import MaxEnvelope, check_assumptions
 from .densities import ConstantDensity, PowerLawDensity, TabulatedDensity
-from .distributions import MaxEnvelope, distribution_from_config
+from .distributions import distribution_from_config
 from .errors import ConfigError, NumericsError
 from .popularity import DensityLaw, ZipfLaw, build_catalog
 
@@ -336,24 +337,20 @@ def _cmd_check_assumptions(args):
     cfg = _load_config(args.config)
     catalog = _catalog_from_config(cfg)
     a = _get(cfg, "assumptions", dict)
-    params = experiments.AssumptionParams(
-        *(_get(a, key, float, path="assumptions") for key in ("kappa1", "kappa2", "gamma")),
-        beta1=_get(a, "beta1", float, None, "assumptions"),
-        rho=_get(a, "rho", float, 0.5, "assumptions"))
+    params = {key: _get(a, key, float, path="assumptions") for key in ("kappa1", "kappa2", "gamma")}
+    params.update(beta1=_get(a, "beta1", float, None, "assumptions"),
+                  rho=_get(a, "rho", float, 0.5, "assumptions"))
     C = float(_get(_get(cfg, "cache", dict), "capacity", int, path="cache"))
     psi = (MaxEnvelope(list(catalog.classes)) if a.get("psi", "max") == "max"
            else _distribution(a, "psi", "assumptions").standardize())
-    report = experiments.check_assumptions(catalog, C, psi, params)
+    r = check_assumptions(catalog, C, psi, **params)
     payload = {
-        "envelope": {"holds": report.envelope.holds, "m_psi": report.envelope.m_psi,
-                     "min_margin": report.envelope.min_margin},
-        "smoothness": {"B": report.smoothness.B, "rho": report.smoothness.rho,
-                       "b0": report.smoothness.b0,
-                       "uniform_lipschitz_M": report.smoothness.uniform_lipschitz_M},
-        "P1": {"holds": report.p1.holds, "lhs": report.p1.lhs, "rhs": report.p1.rhs},
-        "C1": {"holds": report.c1.holds, "beta1": report.c1.beta1,
-               "m_psi": report.c1.m_psi, "margin": report.c1.margin},
-        "all_hold": report.all_hold,
+        "envelope": {"holds": r.envelope_holds, "m_psi": r.m_psi, "min_margin": r.min_margin},
+        "smoothness": {"B": r.B, "rho": r.rho, "b0": r.b0,
+                       "uniform_lipschitz_M": r.uniform_lipschitz_M},
+        "P1": {"holds": r.p1_holds, "lhs": r.p1_lhs, "rhs": r.p1_rhs},
+        "C1": {"holds": r.c1_holds, "beta1": r.beta1, "m_psi": r.m_psi, "margin": r.c1_margin},
+        "all_hold": r.all_hold,
     }
     _emit_json(payload, args, "assumptions.json")
     return 0

@@ -21,17 +21,15 @@ place, so no kernel sees a point outside its domain; ``age_cdf_ccdf`` is
 the fused kernel with its limits.  An age quantile
 without a closed form comes from ``monotone_newton``, the package's one
 root finder: the age cdf is concave, so Newton from 0 rises to the root
-with no bracket.  ``standardize`` rescales to unit mean, the
-form used by envelope and smoothness checks.
-The package's one quadrature rule, ``_adaptive_gauss``, lives here too:
-``MaxEnvelope`` and the limit integrals of ``asymptotics`` both use it.
+with no bracket.  ``standardize`` rescales to unit mean.
+The package's one quadrature rule, ``_adaptive_gauss``, lives here too.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sc
@@ -46,11 +44,6 @@ __all__ = [
     "Erlang",
     "Hyperexponential",
     "ParetoLomax",
-    "MaxEnvelope",
-    "EnvelopeReport",
-    "SmoothnessReport",
-    "check_envelope",
-    "check_smoothness",
     "distribution_from_config",
 ]
 
@@ -607,147 +600,3 @@ def distribution_from_config(spec: dict) -> InterRequestDistribution:
         return _FAMILIES[family](params)
     except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
         raise ConfigError(f"bad parameters for family {family!r}: {params!r}: {exc}") from exc
-
-
-_ENVELOPE_GRID = (1e-6, 1e3, 1000)  # check_envelope's log t grid (lo, hi, points)
-_ENVELOPE_TOL = 1e-9  # the margin check_envelope forgives
-_ENVELOPE_QUAD_TOL = 1e-12  # absolute error target of MaxEnvelope's ccdf integral
-_ENVELOPE_LOG_T = 700.0  # MaxEnvelope's ccdf integral stops at t = e^700
-
-
-class MaxEnvelope(InterRequestDistribution):
-    """Pointwise maximum of the standardized cdfs of several families.
-
-    This is the canonical envelope construction when the catalog mixes
-    scale families: its ccdf is the pointwise minimum of the members'
-    standardized ccdfs, so it lower-bounds every member by construction,
-    and its mean is at most 1.
-
-    The mean integrates the ccdf over t = expm1(u / (1 - u)), u in [0, 1),
-    by ``_adaptive_gauss``: the log scale keeps a heavy tail within reach,
-    and the Lomax tail cut off at t = e^700 is below 1e-15 for shapes from
-    1.05 on.  The age cdf at t adds the closed panels left of t and one
-    20-point panel up to t.  No density, rescaling or sampler is defined.
-    """
-
-    def __init__(self, members):
-        if not members:
-            raise ConfigError("MaxEnvelope needs at least one member distribution")
-        self.members = tuple(m.standardize() for m in members)
-        mean, (self._a, sums) = _adaptive_gauss(self._integrand, _ENVELOPE_QUAD_TOL)
-        self._mean = float(mean)
-        self._left = np.concatenate(([0.0], np.cumsum(sums)[:-1]))  # integral left of each panel
-
-    def _cdf(self, t):
-        return np.maximum.reduce([m._cdf(t) for m in self.members])
-
-    def _ccdf(self, t):
-        return np.minimum.reduce([m._ccdf(t) for m in self.members])
-
-    def _integrand(self, u):
-        """ccdf(t) dt/du at t = expm1(u / (1 - u)); 0 past t = e^700."""
-        v = u / (1.0 - u)
-        inside = v < _ENVELOPE_LOG_T
-        t = np.expm1(np.where(inside, v, 0.0))
-        return np.where(inside, self.ccdf(t) * (1.0 + t), 0.0) * (1.0 + v) ** 2
-
-    @property
-    def mean(self) -> float:
-        return self._mean
-
-    def _age_cdf_ccdf(self, t):
-        s = np.log1p(t)
-        u = np.ravel(s / (1.0 + s))
-        k = np.searchsorted(self._a, u, side="right") - 1
-        part = self._left[k] + _gauss_panels(self._integrand, self._a[k], u - self._a[k])[1]
-        return np.minimum(part.reshape(np.shape(t)) / self._mean, 1.0), self._ccdf(t)
-
-
-@dataclass(frozen=True)
-class EnvelopeReport:
-    """Outcome of testing a candidate envelope against standardized ccdfs."""
-
-    psi: object
-    m_psi: float
-    grid: np.ndarray = field(repr=False)
-    min_margin: float
-    holds: bool
-
-
-def check_envelope(family, psi) -> EnvelopeReport:
-    """Check that psi's ccdf lower-bounds every standardized member ccdf.
-
-    ``psi`` may be any object with ``ccdf`` and ``mean`` (a parametric
-    distribution or a MaxEnvelope).  The check evaluates
-    ``min_i ccdf*_i(t) - psi.ccdf(t)`` on a log grid of t; it holds when
-    the minimum margin is >= -_ENVELOPE_TOL.
-
-    Raises
-    ------
-    ConfigError
-        if psi's mean lies outside (0, 1]; a valid envelope of unit-mean
-        cdfs can never have mean above 1.
-    """
-    grid = np.geomspace(*_ENVELOPE_GRID)
-    m_psi = float(psi.mean)
-    if not 0.0 < m_psi <= 1.0 + _ENVELOPE_TOL:
-        raise ConfigError(f"invalid envelope: mean {m_psi!r} outside (0, 1]")
-    std = [d.standardize() for d in family]
-    member_ccdf = np.minimum.reduce([d.ccdf(grid) for d in std])
-    margin = member_ccdf - psi.ccdf(grid)
-    min_margin = float(margin.min())
-    return EnvelopeReport(psi=psi, m_psi=m_psi, grid=grid,
-                          min_margin=min_margin, holds=bool(min_margin >= -_ENVELOPE_TOL))
-
-
-@dataclass(frozen=True)
-class SmoothnessReport:
-    """Relative-Lipschitz constants of a family of standardized cdfs.
-
-    B bounds |G(t) - G(t +- x t)| <= B x for x in [0, rho] (grid estimate),
-    b0 = sup_t t G'(t) is the density route to the same constant, and
-    uniform_lipschitz_M = sup G' when the densities are bounded (None when
-    a member density diverges at 0).
-    """
-
-    B: float
-    rho: float
-    b0: float
-    uniform_lipschitz_M: float | None
-
-
-def _sup_t_pdf(d) -> float:
-    # maximize t*pdf(t): log-grid scan, then a linear rescan of the bracket
-    # around the best point (2.8 % of t wide: value error ~1e-10 relative)
-    ts = np.geomspace(1e-8, 1e4, 2000)
-    vals = ts * d.pdf(ts)
-    k = int(np.argmax(vals))
-    fine = np.linspace(ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)], 4000)
-    return float(max(vals[k], np.max(fine * d.pdf(fine))))
-
-
-_SMOOTHNESS_T_GRID = (1e-4, 1e3, 400)  # check_smoothness's log t grid (lo, hi, points)
-_SMOOTHNESS_X_POINTS = 40  # relative steps x in (0, rho]
-
-
-def check_smoothness(family, rho: float) -> SmoothnessReport:
-    """Estimate the relative-Lipschitz constants of the standardized family."""
-    if not 0.0 < rho <= 1.0:
-        raise ConfigError(f"rho must be in (0, 1], got {rho}")
-    std = [d.standardize() for d in family]
-    t_grid = np.geomspace(*_SMOOTHNESS_T_GRID)
-    xs = np.linspace(rho / _SMOOTHNESS_X_POINTS, rho, _SMOOTHNESS_X_POINTS)
-    xs = xs[xs > 0]  # a subnormal rho underflows its first steps to 0
-    B = 0.0
-    for d in std:
-        base = d.cdf(t_grid)
-        for x in xs:
-            up = np.abs(d.cdf(t_grid * (1.0 + x)) - base) / x
-            dn = np.abs(base - d.cdf(t_grid * (1.0 - x))) / x
-            B = max(B, float(up.max()), float(dn.max()))
-    b0 = max(_sup_t_pdf(d) for d in std)
-    M = None
-    if all(not isinstance(d, (Gamma, Weibull)) or d.shape >= 1.0 for d in std):  # bounded pdfs
-        M = max(max(float(np.max(d.pdf(np.geomspace(1e-10, 1e3, 2000)))), float(d.pdf(1e-12)))
-                for d in std)
-    return SmoothnessReport(B=B, rho=rho, b0=b0, uniform_lipschitz_M=M)

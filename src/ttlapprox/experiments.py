@@ -1,4 +1,4 @@
-"""Experiment harness: convergence sweeps, assumption checking, emission.
+"""Experiment harness: convergence sweeps and their emission.
 
 A convergence sweep builds a catalog per n, solves the characteristic
 time, predicts timer-cache hit probabilities, simulates the LRU cache,
@@ -14,24 +14,19 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import approx, asymptotics, simulator
 from .densities import PowerLawDensity
-from .distributions import check_envelope, check_smoothness
 from .errors import ConfigError, NumericsError
-from .popularity import ZipfLaw, build_catalog, check_P1
+from .popularity import ZipfLaw, build_catalog
 
 __all__ = [
     "SweepSpec",
     "ConvergenceRow",
     "convergence_sweep",
-    "AssumptionParams",
-    "C1Report",
-    "AssumptionsReport",
-    "check_assumptions",
     "emit",
     "EMIT_COLUMNS",
 ]
@@ -164,62 +159,6 @@ def convergence_sweep(spec: SweepSpec, workers: int | None = None) -> list[Conve
         except (ConfigError, NumericsError) as exc:
             rows[n] = _failed_row(spec, n, fagin, exc)
     return [rows[n] for n in spec.n_values]
-
-
-@dataclass(frozen=True)
-class AssumptionParams:
-    kappa1: float
-    kappa2: float
-    gamma: float
-    beta1: float | None = None  # default: C/n
-    rho: float = 0.5
-
-
-@dataclass(frozen=True)
-class C1Report:
-    """Linear cache-scaling feasibility: C <= beta1*n with beta1 < m_psi."""
-
-    beta1: float
-    m_psi: float
-    n: int
-    C: float
-    holds: bool
-    margin: float
-
-
-@dataclass(frozen=True)
-class AssumptionsReport:
-    envelope: object
-    smoothness: object
-    p1: object
-    c1: C1Report
-
-    @property
-    def all_hold(self) -> bool:
-        return bool(self.envelope.holds and self.p1.holds and self.c1.holds)
-
-
-def check_assumptions(catalog, C: float, psi, params: AssumptionParams) -> AssumptionsReport:
-    """Run the envelope, smoothness, tail-regularity and cache-scaling
-    checks and collect pass/fail with margins (report-only; never raises
-    on a failed check)."""
-    env = check_envelope(list(catalog.classes), psi)
-    smooth = check_smoothness(list(catalog.classes), params.rho)
-    try:
-        p1 = check_P1(catalog, C, params.kappa1, params.kappa2, params.gamma)
-    except ConfigError:
-        if not params.kappa1 * C > catalog.n:
-            raise
-        # kappa1*C beyond the catalog: the tail there is empty, so the
-        # inequality cannot hold; report the failure instead of raising.
-        # kappa1 = 0 still checks kappa2 and gamma and gives the right side.
-        p1 = replace(check_P1(catalog, C, 0.0, params.kappa2, params.gamma),
-                     kappa1=params.kappa1, lhs=0.0, holds=False)
-    beta1 = params.beta1 if params.beta1 is not None else C / catalog.n
-    holds = (C <= beta1 * catalog.n + 1e-12) and (beta1 < env.m_psi)
-    c1 = C1Report(beta1=beta1, m_psi=env.m_psi, n=catalog.n, C=C,
-                  holds=bool(holds), margin=env.m_psi - beta1)
-    return AssumptionsReport(envelope=env, smoothness=smooth, p1=p1, c1=c1)
 
 
 EMIT_COLUMNS = ("n", "C_n", "T_n", "gap_max", "gap_aggregate", "stderr_max",

@@ -22,8 +22,6 @@ __all__ = [
     "DensityLaw",
     "ContentCatalog",
     "build_catalog",
-    "P1Report",
-    "check_P1",
 ]
 
 
@@ -173,35 +171,3 @@ def build_catalog(law, n: int, total_rate: float, family_assignment) -> ContentC
         classes = tuple(d.standardize() for _, d in pairs)
         class_of = np.repeat(np.arange(len(pairs), dtype=np.int64), counts)
     return ContentCatalog(rates=rates, classes=classes, class_of=class_of)
-
-
-@dataclass(frozen=True)
-class P1Report:
-    """Tail-regularity check: does the popularity tail stay the same order
-    of magnitude around the cache size?"""
-
-    kappa1: float
-    kappa2: float
-    gamma: float
-    cache_size: float
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-def check_P1(catalog: ContentCatalog, C: float, kappa1: float, kappa2: float,
-             gamma: float) -> P1Report:
-    """Evaluate tail(ceil(kappa1*C)) > gamma * tail(floor(kappa2*C))."""
-    if not 0.0 <= kappa2 <= 1.0:
-        raise ConfigError(f"kappa2 must be in [0, 1], got {kappa2}")
-    if not 0.0 < gamma < 1.0:
-        raise ConfigError(f"gamma must be in (0, 1), got {gamma}")
-    if not 0.0 <= kappa1 * C <= catalog.n:  # as 0 <= ceil(kappa1*C) <= n, with no ceil of inf
-        raise ConfigError(f"kappa1 too large for catalog, or negative: kappa1*C={kappa1 * C} "
-                          f"outside [0, n={catalog.n}]")
-    hi = math.ceil(kappa1 * C)
-    lo = math.floor(kappa2 * C)
-    lhs = catalog.tail(hi)
-    rhs = gamma * catalog.tail(lo)
-    return P1Report(kappa1=kappa1, kappa2=kappa2, gamma=gamma, cache_size=C,
-                    lhs=lhs, rhs=rhs, holds=bool(lhs > rhs))

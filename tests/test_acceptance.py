@@ -18,11 +18,12 @@ from scipy import stats
 
 from ttlapprox.approx import (characteristic_time, concentration_curve,
                               occupancy_derivative, tn_bracket)
+from ttlapprox.assumptions import MaxEnvelope
 from ttlapprox.asymptotics import (AsymptoticModel, ModelClass, beta_fn, fagin_catalog,
                                    hit_limit, solve_nu0, tn_asymptotic)
 from ttlapprox.densities import ConstantDensity, PowerLawDensity
-from ttlapprox.distributions import (Erlang, Exponential, Gamma, Hyperexponential,
-                                     MaxEnvelope, ParetoLomax, Weibull)
+from ttlapprox.distributions import (Erlang, Exponential, Gamma, Hyperexponential, ParetoLomax,
+                                     Weibull)
 from ttlapprox.experiments import SweepSpec, convergence_sweep
 from ttlapprox.popularity import ContentCatalog, ZipfLaw, build_catalog
 from ttlapprox.simulator import LRU, SimulationConfig, replicate, run

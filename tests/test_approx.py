@@ -16,8 +16,8 @@ from ttlapprox import approx
 from ttlapprox.approx import (_bound_parts, _occupancy_and_slope, _weighted_pass,
                               characteristic_time, concentration_curve, expected_occupancy,
                               miss_probability, occupancy_derivative, tn_bracket, ttl_hit)
-from ttlapprox.distributions import (Exponential, Gamma, Hyperexponential, MaxEnvelope,
-                                     ParetoLomax, Weibull)
+from ttlapprox.assumptions import MaxEnvelope
+from ttlapprox.distributions import Exponential, Gamma, Hyperexponential, ParetoLomax, Weibull
 from ttlapprox.errors import ConfigError
 from ttlapprox.popularity import ContentCatalog, ZipfLaw, build_catalog
 

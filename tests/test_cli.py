@@ -264,6 +264,24 @@ class TestCheckAssumptions:
         assert payload["envelope"]["m_psi"] == 1.0
         assert payload["smoothness"]["b0"] == pytest.approx(math.exp(-1), rel=1e-5)
 
+    def test_payload_layout(self, tmp_path, capsys):
+        assert cli.main(["--config", write_config(tmp_path), "check-assumptions"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [(k, list(v) if isinstance(v, dict) else None) for k, v in payload.items()] == [
+            ("envelope", ["holds", "m_psi", "min_margin"]),
+            ("smoothness", ["B", "rho", "b0", "uniform_lipschitz_M"]),
+            ("P1", ["holds", "lhs", "rhs"]),
+            ("C1", ["holds", "beta1", "m_psi", "margin"]),
+            ("all_hold", None)]
+        for flag in [payload[k]["holds"] for k in ("envelope", "P1", "C1")] + [payload["all_hold"]]:
+            assert type(flag) is bool
+
+    @pytest.mark.parametrize("capacity", [0, -5])
+    def test_cache_size_not_positive_is_2(self, tmp_path, capsys, capacity):
+        path = write_config(tmp_path, {"cache": {"policy": "lru", "capacity": capacity}})
+        assert cli.main(["--config", path, "check-assumptions"]) == 2
+        assert "cache size C must be positive" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_missing_config_is_2(self, capsys):

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from ttlapprox.distributions import (Erlang, Exponential, Gamma, Hyperexponential,
-                                     MaxEnvelope, ParetoLomax, Weibull, check_envelope,
-                                     check_smoothness, distribution_from_config)
+from ttlapprox.distributions import (Erlang, Exponential, Gamma, Hyperexponential, ParetoLomax,
+                                     Weibull, distribution_from_config)
 from ttlapprox.errors import ConfigError
 
-from oracles import ccdf_mp, envelope_mp, gamma_laws_mp, trapezoid_age_cdf
+from oracles import ccdf_mp, gamma_laws_mp, trapezoid_age_cdf
 
 ALL_FAMILIES = [
     Exponential(1.3),
@@ -351,87 +350,6 @@ class TestStandardize:
     def test_mean_past_the_float_range_is_config_error(self, d):
         with pytest.raises(ConfigError, match="not a positive finite number"):
             d.standardize()
-
-
-ENVELOPES = {
-    "gamma2.5-weibull1.4": [Gamma(2.5, 2.5), Weibull(1.4, 1.0)],
-    "gamma0.7-gamma2.5": [Gamma(0.7, 0.7), Gamma(2.5, 2.5)],
-    "exp-gamma2.5-lomax2.5": [Exponential(1.0), Gamma(2.5, 2.5), ParetoLomax(2.5, 1.5)],
-    "lomax1.05": [ParetoLomax(1.05, 1.0)],
-    "lomax1.2": [ParetoLomax(1.2, 1.0)],
-    "lomax1.5": [ParetoLomax(1.5, 1.0)],
-}
-
-
-class TestEnvelope:
-    @pytest.mark.parametrize("members", ENVELOPES.values(), ids=ENVELOPES.keys())
-    def test_against_mpmath_oracle(self, members):
-        # mean, age cdf and age quantile to 1e-10 (quad's mean of the
-        # first pair was 6.6e-7 off)
-        psi = MaxEnvelope(members)
-        ts = [0.3, 1.0, 2.5]
-        us = [0.1, 0.5, 0.9]
-        qs = [psi.age_quantile(u) for u in us]
-        mean, ages = envelope_mp(psi.members, ts + qs)
-        assert abs(psi.mean - mean) <= 1e-10
-        assert np.max(np.abs(psi.age_cdf(np.array(ts)) - ages[:3])) <= 1e-10
-        assert np.max(np.abs(np.array(us) - ages[3:])) <= 1e-10
-
-    def test_all_exponential_degenerate(self):
-        rep = check_envelope([Exponential(r) for r in (0.2, 1.0, 7.0)], Exponential(1.0))
-        assert rep.holds
-        assert rep.min_margin == 0.0
-        assert rep.m_psi == 1.0
-
-    def test_pointwise_max_of_two_gammas(self):
-        members = [Gamma(1.0, 4.0), Gamma(2.0, 3.0)]
-        psi = MaxEnvelope(members)
-        rep = check_envelope(members, psi)
-        assert rep.holds
-        assert rep.m_psi < 1.0
-
-    def test_exponential_fails_under_gamma2_envelope(self):
-        rep = check_envelope([Exponential(1.0)], Gamma(2.0, 2.0))
-        assert not rep.holds
-        # explicit margin at t = 0.01: exp ccdf below the Erlang-2 ccdf
-        t = 0.01
-        assert math.exp(-t) - math.exp(-2 * t) * (1 + 2 * t) < 0
-        assert rep.min_margin < -1e-4
-
-    def test_mean_above_one_rejected(self):
-        with pytest.raises(ConfigError, match="invalid envelope"):
-            check_envelope([Exponential(1.0)], Exponential(0.5))
-
-
-class TestSmoothness:
-    def test_exponential_relative_lipschitz_bound(self):
-        rep = check_smoothness([Exponential(1.0)], rho=1.0)
-        assert rep.B <= 1.0 + 1e-9
-
-    def test_exponential_sup_t_density(self):
-        rep = check_smoothness([Exponential(1.0)], rho=1.0)
-        assert rep.b0 == pytest.approx(math.exp(-1.0), rel=1e-6)
-
-    def test_gamma_family_b0(self):
-        shapes = (0.5, 1.0, 1.5, 2.0)
-        rep = check_smoothness([Gamma(a, a) for a in shapes], rho=0.5)
-        analytic = max(a ** a * math.exp(-a) / math.gamma(a) for a in shapes)
-        assert rep.b0 == pytest.approx(analytic, rel=1e-6)
-        # density unbounded at zero for shape < 1
-        assert rep.uniform_lipschitz_M is None
-
-    def test_subnormal_rho(self):
-        # rho / 40 underflows to a zero step, which is skipped
-        assert check_smoothness([Exponential(1.0)], rho=5e-324).B == 0.0
-
-    def test_bound_holds_on_samples(self):
-        rep = check_smoothness([Gamma(1.5, 1.5), Exponential(1.0)], rho=0.5)
-        rng = np.random.default_rng(2)
-        for d in (Gamma(1.5, 1.5), Exponential(1.0)):
-            t = rng.exponential(1.0, 50)
-            for x in rng.uniform(0.0, 0.5, 20):
-                gap = np.abs(d.cdf(t) - d.cdf(t * (1 + x)))
-                assert np.all(gap <= rep.B * x + 1e-9)
 
 
 class TestConfigText:

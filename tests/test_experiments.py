@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 import ttlapprox
-from ttlapprox.distributions import Exponential, Gamma, MaxEnvelope
+from ttlapprox.distributions import Exponential
 from ttlapprox.errors import ConfigError
-from ttlapprox.experiments import (EMIT_COLUMNS, AssumptionParams, SweepSpec,
-                                   check_assumptions, convergence_sweep, emit)
+from ttlapprox.experiments import EMIT_COLUMNS, SweepSpec, convergence_sweep, emit
 from ttlapprox.popularity import ZipfLaw, build_catalog
 
 
@@ -80,47 +79,6 @@ class TestSweep:
             assert r.gap_aggregate < 5 * max(r.stderr_agg, 1e-4)
 
 
-class TestCheckAssumptions:
-    def test_poisson_zipf_all_pass(self):
-        cat = build_catalog(ZipfLaw(0.8), 1000, 1000.0, Exponential(1.0))
-        rep = check_assumptions(cat, 300.0, Exponential(1.0),
-                                AssumptionParams(kappa1=1.2, kappa2=0.0, gamma=0.1,
-                                                 beta1=0.3))
-        assert rep.envelope.holds and rep.p1.holds and rep.c1.holds
-        assert rep.all_hold
-        assert rep.envelope.m_psi == 1.0
-
-    def test_cache_nearly_n_fails_c1(self):
-        members = [Exponential(1.0), Gamma(2.0, 2.0)]
-        cat = build_catalog(ZipfLaw(0.5), 100, 100.0,
-                            [(0.5, members[0]), (0.5, members[1])])
-        psi = MaxEnvelope(members)
-        rep = check_assumptions(cat, 99.0, psi,
-                                AssumptionParams(kappa1=1.01 / psi.mean, kappa2=0.0,
-                                                 gamma=0.001, beta1=0.99))
-        assert rep.c1.m_psi < 0.99
-        assert not rep.c1.holds
-        assert not rep.all_hold
-
-    @pytest.mark.parametrize("params", [dict(kappa1=1.2, kappa2=1.5, gamma=0.1),
-                                        dict(kappa1=1e308, kappa2=0.0, gamma=2.0)])
-    def test_out_of_range_kappa2_or_gamma_is_config_error(self, params):
-        # only kappa1*C past the catalog is reported as a failed P1
-        cat = build_catalog(ZipfLaw(0.8), 200, 200.0, Exponential(1.0))
-        with pytest.raises(ConfigError, match="kappa2|gamma"):
-            check_assumptions(cat, 20.0, Exponential(1.0), AssumptionParams(**params))
-
-    def test_mixed_gamma_max_envelope(self):
-        members = [Gamma(1.0, 1.0), Gamma(2.0, 2.0)]
-        cat = build_catalog(ZipfLaw(0.7), 200, 200.0,
-                            [(0.5, members[0]), (0.5, members[1])])
-        psi = MaxEnvelope(members)
-        rep = check_assumptions(cat, 60.0, psi,
-                                AssumptionParams(kappa1=1.5, kappa2=0.0, gamma=0.2))
-        assert rep.envelope.holds
-        assert rep.envelope.m_psi < 1.0
-
-
 class TestImports:
     def test_package_loads_only_scipy_special(self):
         # the tests import scipy.stats themselves, so a fresh interpreter checks
@@ -128,15 +86,14 @@ class TestImports:
             import sys
             import ttlapprox
             from ttlapprox.approx import tn_bracket
-            from ttlapprox.distributions import Gamma, MaxEnvelope, Weibull
-            from ttlapprox.experiments import AssumptionParams, check_assumptions
+            from ttlapprox.assumptions import MaxEnvelope, check_assumptions
+            from ttlapprox.distributions import Gamma, Weibull
             from ttlapprox.popularity import ZipfLaw, build_catalog
             members = [Gamma(2.5, 2.5), Weibull(1.4, 1.0)]
             cat = build_catalog(ZipfLaw(0.8), 200, 200.0,
                                 [(0.5, members[0]), (0.5, members[1])])
             psi = MaxEnvelope(members)
-            check_assumptions(cat, 60.0, psi,
-                              AssumptionParams(kappa1=1.5, kappa2=0.0, gamma=0.2))
+            check_assumptions(cat, 60.0, psi, kappa1=1.5, kappa2=0.0, gamma=0.2)
             tn_bracket(cat, 60.0, psi)
             print(sorted({"scipy.integrate", "scipy.optimize"} & set(sys.modules)))
         """)
@@ -146,10 +103,10 @@ class TestImports:
         assert done.stdout.strip() == "[]"
 
     def test_package_exports_the_union_of_the_layers(self):
-        from ttlapprox import (approx, asymptotics, cli, densities, distributions, errors,
-                               experiments, popularity, simulator)
-        layers = (approx, asymptotics, cli, densities, distributions, errors, experiments,
-                  popularity, simulator)
+        from ttlapprox import (approx, assumptions, asymptotics, cli, densities, distributions,
+                               errors, experiments, popularity, simulator)
+        layers = (approx, assumptions, asymptotics, cli, densities, distributions, errors,
+                  experiments, popularity, simulator)
         union = {(name, m) for m in layers for name in m.__all__} - {("main", cli)}
         assert len(ttlapprox.__all__) == len(union)
         assert set(ttlapprox.__all__) == {name for name, _ in union}

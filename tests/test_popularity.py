@@ -5,10 +5,10 @@ import pytest
 from scipy.special import zeta
 
 from ttlapprox.densities import ConstantDensity, PowerLawDensity, TabulatedDensity
-from ttlapprox.distributions import Exponential, Gamma, MaxEnvelope, Weibull
+from ttlapprox.assumptions import MaxEnvelope
+from ttlapprox.distributions import Exponential, Gamma, Weibull
 from ttlapprox.errors import ConfigError
-from ttlapprox.popularity import (ContentCatalog, DensityLaw, ZipfLaw, build_catalog,
-                                  check_P1)
+from ttlapprox.popularity import ContentCatalog, DensityLaw, ZipfLaw, build_catalog
 
 
 class TestZipf:
@@ -156,41 +156,6 @@ class TestGroups:
             assert np.array_equal(idx, np.flatnonzero(class_of == c))
         assert np.array_equal(np.sort(np.concatenate([i for _, i in cat.groups])),
                               np.arange(200))
-
-
-class TestCheckP1:
-    def test_zipf_08_holds(self):
-        n = 10**4
-        cat = build_catalog(ZipfLaw(0.8), n, 1.0, Exponential(1.0))
-        rep = check_P1(cat, 0.3 * n, kappa1=1.2, kappa2=0.0, gamma=0.1)
-        assert rep.holds
-        # limit of the tail ratio is 1 - (kappa1*beta1)^(1-alpha) = 0.185...
-        assert rep.lhs / rep.rhs * 0.1 > 0.1
-
-    def test_uniform_popularity_holds(self):
-        n, beta1 = 1000, 0.5
-        kappa1 = 1.5
-        gamma = 0.5 * (1.0 - kappa1 * beta1)
-        cat = build_catalog(ZipfLaw(0.0), n, 1.0, Exponential(1.0))
-        rep = check_P1(cat, beta1 * n, kappa1=kappa1, kappa2=0.0, gamma=gamma)
-        assert rep.holds
-        assert rep.lhs == pytest.approx(1.0 - math.ceil(kappa1 * beta1 * n) / n, abs=1e-12)
-
-    def test_very_skewed_zipf_fails(self):
-        cat = build_catalog(ZipfLaw(2.0), 10**4, 1.0, Exponential(1.0))
-        rep = check_P1(cat, 100.0, kappa1=1.2, kappa2=0.0, gamma=0.9)
-        assert not rep.holds
-
-    def test_kappa1_too_large(self):
-        cat = build_catalog(ZipfLaw(0.0), 100, 1.0, Exponential(1.0))
-        with pytest.raises(ConfigError, match="kappa1 too large"):
-            check_P1(cat, 90.0, kappa1=1.5, kappa2=0.0, gamma=0.5)
-
-    @pytest.mark.parametrize("kappa1", [1e308, -1e308, -1.0])
-    def test_kappa1_past_the_float_range_or_negative(self, kappa1):
-        cat = build_catalog(ZipfLaw(0.0), 100, 1.0, Exponential(1.0))
-        with pytest.raises(ConfigError, match="kappa1"):
-            check_P1(cat, 90.0, kappa1=kappa1, kappa2=0.0, gamma=0.5)
 
 
 class TestBuildCatalog:
